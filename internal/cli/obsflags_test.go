@@ -147,8 +147,8 @@ func TestDisttraceTraceOutput(t *testing.T) {
 }
 
 // TestUnicastSimMetrics checks the sim CLI feeds the snapshot: the
-// figure panels run on the batch quote engine, whose shortest-path
-// work shows up in the sp.* metrics.
+// figure panels run on the batch quote engine, whose solves and
+// per-relay searches show up in the core.allsources_* metrics.
 func TestUnicastSimMetrics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	code, _, errOut := runSim(t, "-figure", "3a", "-seed", "1", "-metrics", path)
@@ -156,11 +156,11 @@ func TestUnicastSimMetrics(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, errOut)
 	}
 	s := readSnapshot(t, path)
-	if s.Counters["sp.dijkstra_runs"] == 0 {
-		t.Error("sim run recorded no Dijkstra runs")
+	if s.Counters["core.allsources_solves"] == 0 {
+		t.Error("sim run recorded no all-sources solves")
 	}
-	if s.Histograms["sp.touched_nodes"].Count == 0 {
-		t.Error("no touched-node sizes observed")
+	if s.Histograms["core.allsources_subtree_nodes"].Count == 0 {
+		t.Error("no relay subtree sizes observed")
 	}
 }
 

@@ -1,0 +1,243 @@
+package core
+
+import (
+	"math"
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"truthroute/internal/graph"
+	"truthroute/internal/sp"
+	"truthroute/internal/wireless"
+)
+
+// udgFixture draws a paper-scale deployment: n nodes uniform in a
+// 2000 m square with a 300 m common range. It returns the node model
+// (U[1,10) relay costs), the link model (path loss κ=2, distances in
+// thirds of the range) and the node nearest the centre, which the
+// tests use as the access point.
+func udgFixture(n int, seed uint64) (*graph.NodeGraph, *graph.LinkGraph, int) {
+	const side, radio = 2000.0, 300.0
+	rng := rand.New(rand.NewPCG(seed, uint64(n)))
+	dep := wireless.PlaceUniform(n, side, radio, rng)
+	centre := wireless.Point{X: side / 2, Y: side / 2}
+	dest := 0
+	for v := range dep.Pos {
+		if dep.Pos[v].Dist(centre) < dep.Pos[dest].Dist(centre) {
+			dest = v
+		}
+	}
+	return dep.NodeCostUDG(1, 10, rng), dep.LinkGraph(wireless.PathLoss{Kappa: 2, Unit: radio / 3}), dest
+}
+
+// sameQuote checks a batch quote against the single-source engine's:
+// identical path, cost and payments within 1e-9 relative, +Inf only
+// where the reference has +Inf.
+func sameQuote(t *testing.T, model string, got, want *Quote, err error) {
+	t.Helper()
+	if err != nil {
+		if got != nil {
+			t.Errorf("%s: batch quoted %v where the single-source engine failed: %v", model, got, err)
+		}
+		return
+	}
+	if got == nil {
+		t.Errorf("%s %d->%d: batch has no quote", model, want.Source, want.Target)
+		return
+	}
+	if !slices.Equal(got.Path, want.Path) {
+		t.Errorf("%s %d->%d: path %v, want %v", model, want.Source, want.Target, got.Path, want.Path)
+		return
+	}
+	if !almostEqual(got.Cost, want.Cost) {
+		t.Errorf("%s %d->%d: cost %v, want %v", model, want.Source, want.Target, got.Cost, want.Cost)
+	}
+	if len(got.Payments) != len(want.Payments) {
+		t.Errorf("%s %d->%d: payments %v, want %v", model, want.Source, want.Target, got.Payments, want.Payments)
+		return
+	}
+	for k, w := range want.Payments {
+		if p, ok := got.Payments[k]; !ok || !almostEqual(p, w) {
+			t.Errorf("%s %d->%d: p^%d = %v, want %v", model, want.Source, want.Target, k, p, w)
+		}
+	}
+}
+
+func checkAllUnicast(t *testing.T, g *graph.NodeGraph, dest int) {
+	t.Helper()
+	all := AllUnicastQuotes(g, dest)
+	if all[dest] != nil {
+		t.Errorf("node: destination entry %v, want nil", all[dest])
+	}
+	for s := 0; s < g.N(); s++ {
+		if s != dest {
+			want, err := UnicastQuote(g, s, dest, EngineNaive)
+			sameQuote(t, "node", all[s], want, err)
+		}
+	}
+}
+
+func checkAllLink(t *testing.T, g *graph.LinkGraph, dest int) {
+	t.Helper()
+	all := AllLinkQuotes(g, dest)
+	if all[dest] != nil {
+		t.Errorf("link: destination entry %v, want nil", all[dest])
+	}
+	for s := 0; s < g.N(); s++ {
+		if s != dest {
+			want, err := LinkQuote(g, s, dest)
+			sameQuote(t, "link", all[s], want, err)
+		}
+	}
+}
+
+// TestAllSourcesMatchPerSourceUDG is the paper-scale differential:
+// every source of a Figure-3 style deployment, both cost models,
+// against the single-source engines.
+func TestAllSourcesMatchPerSourceUDG(t *testing.T) {
+	for _, n := range []int{100, 300} {
+		g, lg, dest := udgFixture(n, 1)
+		checkAllUnicast(t, g, dest)
+		checkAllLink(t, lg, dest)
+	}
+}
+
+// reversed returns g with every arc turned around, weights kept.
+func reversed(g *graph.LinkGraph) *graph.LinkGraph {
+	r := graph.NewLinkGraph(g.N())
+	for u := 0; u < g.N(); u++ {
+		for _, a := range g.Out(u) {
+			r.AddArc(a.To, u, a.W)
+		}
+	}
+	return r
+}
+
+// TestLinkDestTreeBitIdentical pins the link engine's destination
+// tree to a forward Dijkstra from dest on the reversed graph: the
+// same distances bit for bit and the same parent for every node.
+func TestLinkDestTreeBitIdentical(t *testing.T) {
+	for _, n := range []int{100, 300} {
+		_, lg, dest := udgFixture(n, 2)
+		want := sp.LinkDijkstra(reversed(lg), dest, nil)
+		bs := acquireBatch(n)
+		bs.loadLink(lg)
+		bs.destTree(dest)
+		for v := 0; v < n; v++ {
+			if math.Float64bits(bs.dist[v]) != math.Float64bits(want.Dist[v]) || int(bs.parent[v]) != want.Parent[v] {
+				t.Fatalf("n=%d node %d: dist %v parent %d, want %v parent %d",
+					n, v, bs.dist[v], bs.parent[v], want.Dist[v], want.Parent[v])
+			}
+		}
+		batchPool.Put(bs)
+	}
+}
+
+// TestAllSourcesEdgeCases covers the inputs the UDG fixtures do not
+// reach: zero-cost relays, a component cut off from the destination,
+// a monopolist (a pendant source whose only neighbour is a relay) and
+// +Inf arcs.
+func TestAllSourcesEdgeCases(t *testing.T) {
+	// 0 is the destination. The ring 0-1-2-3-4-0 has zero-cost relays
+	// 1 and 2 on the cheap side; 7 hangs off 3 (so 3 is 7's
+	// monopolist); 5-6 is a component of its own.
+	g := graph.NewNodeGraph(8)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {5, 6}, {3, 7}} {
+		g.AddEdge(e[0], e[1])
+	}
+	g.SetCosts([]float64{0, 0, 0, 1, 5, 2, 2, 3})
+	checkAllUnicast(t, g, 0)
+	all := AllUnicastQuotes(g, 0)
+	if all[5] != nil || all[6] != nil {
+		t.Errorf("cut-off component quoted: %v %v", all[5], all[6])
+	}
+	if m := all[7].Monopolists(); !slices.Equal(m, []int{3}) {
+		t.Errorf("monopolists of 7 = %v, want [3]", m)
+	}
+	// Source 3 reaches 0 through the two free relays; avoiding either
+	// forces the detour through 4.
+	if q := all[3]; !slices.Equal(q.Path, []int{3, 2, 1, 0}) || q.Payments[1] != 5 || q.Payments[2] != 5 {
+		t.Errorf("source 3: %v payments %v, want path [3 2 1 0] paying 5 to each relay", q.Path, q.Payments)
+	}
+
+	// The same topology as a link graph: distinct weights keep every
+	// least cost path unique. The +Inf arc 2->1 is a link out of range,
+	// so 2 must go round through 3 and 4, and 4 joins 3 as a
+	// monopolist for 7.
+	lg := graph.NewLinkGraph(8)
+	rng := rand.New(rand.NewPCG(7, 7))
+	for _, e := range g.Edges() {
+		lg.AddArc(e[0], e[1], 1+rng.Float64())
+		lg.AddArc(e[1], e[0], 1+rng.Float64())
+	}
+	lg.SetWeight(2, 1, graph.Inf)
+	lg.SetWeight(1, 0, 0)
+	checkAllLink(t, lg, 0)
+	la := AllLinkQuotes(lg, 0)
+	if la[5] != nil || la[6] != nil {
+		t.Errorf("link: cut-off component quoted: %v %v", la[5], la[6])
+	}
+	if p := la[2].Path; !slices.Equal(p, []int{2, 3, 4, 0}) {
+		t.Errorf("link: path of 2 = %v, want [2 3 4 0]", p)
+	}
+	if m := la[7].Monopolists(); !slices.Equal(m, []int{3, 4}) {
+		t.Errorf("link: monopolists of 7 = %v, want [3 4]", m)
+	}
+}
+
+// TestAllSourcesConcurrent runs both engines from several goroutines
+// at once on instances of two sizes, so pooled workspaces pass
+// between callers and regrow, and checks every result against a
+// sequential solve.
+func TestAllSourcesConcurrent(t *testing.T) {
+	type instance struct {
+		g          *graph.NodeGraph
+		lg         *graph.LinkGraph
+		dest       int
+		node, link []*Quote
+	}
+	var insts []instance
+	for _, n := range []int{100, 300} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			g, lg, dest := udgFixture(n, seed)
+			insts = append(insts, instance{g, lg, dest, AllUnicastQuotes(g, dest), AllLinkQuotes(lg, dest)})
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 2*len(insts); r++ {
+				in := insts[(w+r)%len(insts)]
+				if !reflect.DeepEqual(AllUnicastQuotes(in.g, in.dest), in.node) ||
+					!reflect.DeepEqual(AllLinkQuotes(in.lg, in.dest), in.link) {
+					t.Errorf("worker %d round %d: concurrent solve differs from the sequential one", w, r)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// The all-sources engines on one n=300 deployment, the size of the
+// serving fixture and the middle of the Figure-3 sweep.
+func BenchmarkAllSourcesLinkUDG300(b *testing.B) {
+	_, lg, dest := udgFixture(300, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AllLinkQuotes(lg, dest)
+	}
+}
+
+func BenchmarkAllSourcesNodeUDG300(b *testing.B) {
+	g, _, dest := udgFixture(300, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AllUnicastQuotes(g, dest)
+	}
+}

@@ -136,13 +136,28 @@ func TestFastTrivialPaths(t *testing.T) {
 func BenchmarkReplacementNaive(b *testing.B) { benchReplacement(b, EngineNaive) }
 func BenchmarkReplacementFast(b *testing.B)  { benchReplacement(b, EngineFast) }
 
+// benchReplacement quotes the source whose least cost path to 0 has
+// the most hops, so the replacement step has many relays to price and
+// the two engines' difference shows. The ring-plus-chords graph is
+// kept sparse (1.5 chords per node on average) so that path is long:
+// at 4 chords per node no route has 8 relays.
 func benchReplacement(b *testing.B, e Engine) {
 	rng := rand.New(rand.NewPCG(99, 0))
-	g := graph.RandomBiconnected(1024, 4.0/1024, rng)
+	g := graph.RandomBiconnected(1024, 1.5/1024, rng)
 	g.RandomizeCosts(0.5, 5, rng)
+	var far *Quote
+	for _, q := range AllUnicastQuotes(g, 0) {
+		if q != nil && (far == nil || len(q.Path) > len(far.Path)) {
+			far = q
+		}
+	}
+	if relays := len(far.Relays()); relays < 8 {
+		b.Fatalf("farthest source %d has %d relays, want at least 8", far.Source, relays)
+	}
+	src := far.Source
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := UnicastQuote(g, 1, 0, e); err != nil {
+		if _, err := UnicastQuote(g, src, 0, e); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,7 +25,7 @@ func LinkQuote(g *graph.LinkGraph, s, t int) (*Quote, error) {
 	if s == t {
 		return nil, fmt.Errorf("core: source and target are both %d", s)
 	}
-	tree := sp.LinkDijkstra(g, s, nil, false)
+	tree := sp.LinkDijkstra(g, s, nil)
 	if !tree.Reachable(t) {
 		return nil, ErrNoPath
 	}

@@ -26,4 +26,11 @@ var (
 	obsFanWorkers = obs.NewGauge("core.fanout_workers")
 	obsFanActive  = obs.NewGauge("core.fanout_active")
 	obsFanPeak    = obs.NewGauge("core.fanout_peak")
+	// obsBatchSolves counts all-sources solves (AllUnicastQuotes and
+	// AllLinkQuotes calls, one destination each); obsBatchSubtree is
+	// the distribution of relay subtree sizes |T_k| their per-relay
+	// searches ran over, the batch engine's counterpart of
+	// sp.touched_nodes.
+	obsBatchSolves  = obs.NewCounter("core.allsources_solves")
+	obsBatchSubtree = obs.NewHistogram("core.allsources_subtree_nodes", obs.SizeBuckets())
 )

@@ -82,3 +82,27 @@ func TestSolverObservabilityDisabled(t *testing.T) {
 		t.Errorf("disabled obs recorded: %v", s.Counters)
 	}
 }
+
+// TestAllSourcesObservability checks the batch engine's metrics: one
+// solve per call and one subtree size per relay that carries traffic.
+func TestAllSourcesObservability(t *testing.T) {
+	obs.Reset()
+	obs.Enable()
+	t.Cleanup(func() {
+		obs.Disable()
+		obs.Reset()
+	})
+	// On the path 0-1-2-3 towards 0, relays 1 and 2 carry {2,3} and {3}.
+	g := graph.NewNodeGraph(4)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.AddEdge(2, 3)
+	AllUnicastQuotes(g, 0)
+	s := obs.Default.Snapshot()
+	if got := s.Counters["core.allsources_solves"]; got != 1 {
+		t.Errorf("core.allsources_solves = %d, want 1", got)
+	}
+	if got := s.Histograms["core.allsources_subtree_nodes"]; got.Count != 2 || got.Sum != 3 {
+		t.Errorf("subtree histogram count %d sum %v, want 2 relays over 3 sources", got.Count, got.Sum)
+	}
+}

@@ -265,7 +265,7 @@ func (sv *Solver) AllQuotes(g *graph.NodeGraph, dest int, engine Engine) ([]*Quo
 }
 
 // AllUnicastQuotesParallel is AllQuotes on the shared package solver:
-// the per-source counterpart of the batch value-iteration engine for
+// the per-source counterpart of the batch engine (batch.go) for
 // workloads that want true VCG quotes for every source at once.
 func AllUnicastQuotesParallel(g *graph.NodeGraph, dest int, engine Engine) ([]*Quote, error) {
 	return defaultSolver.AllQuotes(g, dest, engine)

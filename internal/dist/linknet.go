@@ -16,7 +16,7 @@ import (
 //	A_i^k = min over arcs (i,j), j ≠ k of
 //	        w(i,j) + (k ∈ interior(P(j,0)) ? A_j^k : dist(j))
 //
-// (the same fixed point core.AllLinkQuotes iterates centrally), and
+// (the same fixed point core.AllLinkQuotes computes centrally), and
 // the payment follows as p_i^k = w(k, next_k) + A_i^k − dist(i) with
 // all declared weights public. The communication graph must be
 // bidirectionally connected (arcs both ways, weights may differ) —

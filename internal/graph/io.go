@@ -116,10 +116,7 @@ func (g *LinkGraph) UnmarshalJSON(data []byte) error {
 		}
 		lg.AddArc(a.From, a.To, a.W)
 	}
-	// Field-wise install rather than *g = *lg: the cached reverse
-	// adjacency is an atomic.Pointer and must not be copied by value.
-	g.out = lg.out
-	g.rev.Store(nil)
+	*g = *lg
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 )
 
 // Arc is a directed, weighted link. In the §III.F model the weight is
@@ -20,10 +19,6 @@ type Arc struct {
 // vector (c_{i,0}, ..., c_{i,n-1}) of its out-link costs.
 type LinkGraph struct {
 	out [][]Arc
-	// rev caches the reversed adjacency (see In), dropped on every
-	// arc mutation. Atomic for the same reason as NodeGraph's CSR
-	// cache: concurrent readers may race to build identical views.
-	rev atomic.Pointer[[][]Arc]
 }
 
 // NewLinkGraph returns a directed graph with n isolated nodes.
@@ -62,7 +57,6 @@ func (g *LinkGraph) AddArc(u, v int, w float64) {
 	copy(a[i+1:], a[i:])
 	a[i] = Arc{To: v, W: w}
 	g.out[u] = a
-	g.rev.Store(nil)
 }
 
 // SetWeight updates the weight of an existing arc u→v and reports
@@ -75,7 +69,6 @@ func (g *LinkGraph) SetWeight(u, v int, w float64) bool {
 	i := sort.Search(len(a), func(i int) bool { return a[i].To >= v })
 	if i < len(a) && a[i].To == v {
 		a[i].W = w
-		g.rev.Store(nil)
 		return true
 	}
 	return false
@@ -101,28 +94,6 @@ func (g *LinkGraph) HasArc(u, v int) bool {
 // Out returns u's out-arcs in increasing head order. The returned
 // slice is owned by the graph and must not be modified.
 func (g *LinkGraph) Out(u int) []Arc { return g.out[u] }
-
-// In returns u's in-arcs as Arc{To: tail, W: weight} pairs, tails in
-// increasing order. The reversed adjacency is built lazily on first
-// use and cached until the next arc mutation, so the reverse Dijkstra
-// the destination-rooted protocol runs is as allocation-free as the
-// forward one. The returned slice is owned by the graph and must not
-// be modified.
-//
-//lint:writer racing builders construct identical reversals from the same out-arcs; the CAS loser discards its copy unpublished
-func (g *LinkGraph) In(u int) []Arc {
-	if r := g.rev.Load(); r != nil {
-		return (*r)[u]
-	}
-	rev := make([][]Arc, g.N())
-	for tail := 0; tail < g.N(); tail++ {
-		for _, a := range g.out[tail] {
-			rev[a.To] = append(rev[a.To], Arc{To: tail, W: a.W})
-		}
-	}
-	g.rev.CompareAndSwap(nil, &rev)
-	return (*g.rev.Load())[u]
-}
 
 // OutWeights returns a copy of u's declared out-cost vector as a map
 // from head to weight; this is the agent's declared type d_u.

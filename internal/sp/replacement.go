@@ -60,7 +60,7 @@ func LinkReplacementCostsNaive(g *graph.LinkGraph, s, t int, path []int) map[int
 	for i := 1; i+1 < len(path); i++ {
 		k := path[i]
 		banned[k] = true
-		tree := LinkDijkstra(g, s, banned, false)
+		tree := LinkDijkstra(g, s, banned)
 		out[k] = tree.Dist[t]
 		banned[k] = false
 	}

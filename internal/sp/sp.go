@@ -92,11 +92,9 @@ func NodeDijkstra(g *graph.NodeGraph, src int, banned []bool) *Tree {
 // LinkDijkstra computes the shortest path tree from src in a
 // directed link-weighted graph (arc weights sum along the path;
 // weights of +Inf are treated as absent arcs). banned nodes are never
-// entered. If reverse is true the tree follows arcs backwards,
-// yielding distances *to* src — what the destination-rooted SPT of
-// the distributed protocol needs.
-func LinkDijkstra(g *graph.LinkGraph, src int, banned []bool, reverse bool) *Tree {
-	return NewWorkspace(g.N()).LinkDijkstra(g, src, banned, reverse)
+// entered.
+func LinkDijkstra(g *graph.LinkGraph, src int, banned []bool) *Tree {
+	return NewWorkspace(g.N()).LinkDijkstra(g, src, banned)
 }
 
 // NodePath returns the least cost path from s to t (inclusive) and
@@ -112,7 +110,7 @@ func NodePath(g *graph.NodeGraph, s, t int) ([]int, float64) {
 // LinkPath returns the least cost directed path from s to t and its
 // total arc weight, or (nil, +Inf) when t is unreachable.
 func LinkPath(g *graph.LinkGraph, s, t int) ([]int, float64) {
-	tree := LinkDijkstra(g, s, nil, false)
+	tree := LinkDijkstra(g, s, nil)
 	if !tree.Reachable(t) {
 		return nil, Inf
 	}

@@ -178,13 +178,13 @@ func TestQuickHeapChoiceIsObservationallyEqual(t *testing.T) {
 	}
 }
 
-func TestLinkDijkstraForwardAndReverse(t *testing.T) {
+func TestLinkDijkstraDirected(t *testing.T) {
 	g := graph.NewLinkGraph(4)
 	g.AddArc(0, 1, 1)
 	g.AddArc(1, 2, 2)
 	g.AddArc(2, 3, 3)
 	g.AddArc(0, 3, 10)
-	fwd := LinkDijkstra(g, 0, nil, false)
+	fwd := LinkDijkstra(g, 0, nil)
 	if fwd.Dist[3] != 6 {
 		t.Fatalf("forward Dist[3] = %v, want 6", fwd.Dist[3])
 	}
@@ -195,13 +195,8 @@ func TestLinkDijkstraForwardAndReverse(t *testing.T) {
 			t.Fatalf("path = %v, want %v", p, want)
 		}
 	}
-	// Reverse tree from 3: distances *to* 3 following arcs forward.
-	rev := LinkDijkstra(g, 3, nil, true)
-	if rev.Dist[0] != 6 || rev.Dist[1] != 5 || rev.Dist[2] != 3 {
-		t.Fatalf("reverse dists = %v", rev.Dist)
-	}
 	// Asymmetry: no arcs back, so forward from 3 reaches nothing.
-	f3 := LinkDijkstra(g, 3, nil, false)
+	f3 := LinkDijkstra(g, 3, nil)
 	if f3.Reachable(0) {
 		t.Error("directed graph should not be symmetric")
 	}
@@ -212,7 +207,7 @@ func TestLinkDijkstraSkipsInfArcs(t *testing.T) {
 	g.AddArc(0, 1, graph.Inf)
 	g.AddArc(0, 2, 1)
 	g.AddArc(2, 1, 1)
-	tree := LinkDijkstra(g, 0, nil, false)
+	tree := LinkDijkstra(g, 0, nil)
 	if tree.Dist[1] != 2 {
 		t.Fatalf("Dist[1] = %v, want 2 (Inf arc must be ignored)", tree.Dist[1])
 	}

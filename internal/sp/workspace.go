@@ -235,15 +235,13 @@ func (w *Workspace) NodeDijkstra(g *graph.NodeGraph, src int, banned []bool) *Tr
 	return t
 }
 
-// LinkDijkstra is LinkDijkstra into this workspace. Reverse trees walk
-// the graph's cached In adjacency, so repeated destination-rooted runs
-// on one topology allocate nothing either. Link runs always use the
-// comparison heap: LinkGraph has no fixed-point cost negotiation (arc
-// weights are continuous power costs), so there is no bucket regime
-// to engage.
+// LinkDijkstra is LinkDijkstra into this workspace. Link runs always
+// use the comparison heap: LinkGraph has no fixed-point cost
+// negotiation (arc weights are continuous power costs), so there is
+// no bucket regime to engage.
 //
 //lint:noalloc the steady-state query loop; growth allocations belong to Resize, not here
-func (w *Workspace) LinkDijkstra(g *graph.LinkGraph, src int, banned []bool, reverse bool) *Tree {
+func (w *Workspace) LinkDijkstra(g *graph.LinkGraph, src int, banned []bool) *Tree {
 	w.Resize(g.N())
 	t := w.begin(src, w.q)
 	t.Dist[src] = 0
@@ -253,11 +251,7 @@ func (w *Workspace) LinkDijkstra(g *graph.LinkGraph, src int, banned []bool, rev
 	for q.Len() > 0 {
 		u, du := q.Pop()
 		t.Order = append(t.Order, u)
-		arcs := g.Out(u)
-		if reverse {
-			arcs = g.In(u)
-		}
-		for _, a := range arcs {
+		for _, a := range g.Out(u) {
 			if a.W >= Inf || (banned != nil && banned[a.To]) {
 				continue
 			}

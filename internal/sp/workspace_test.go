@@ -57,13 +57,12 @@ func TestWorkspaceLinkDijkstraMatches(t *testing.T) {
 		n := 2 + rng.IntN(30)
 		g := graph.RandomLinkGraph(n, 0.2, 0.1, 4, rng)
 		src := rng.IntN(n)
-		reverse := rng.IntN(2) == 0
 		var banned []bool
 		if rng.IntN(2) == 0 {
 			banned = make([]bool, n)
 			banned[rng.IntN(n)] = true
 		}
-		sameTree(t, w.LinkDijkstra(g, src, banned, reverse), LinkDijkstra(g, src, banned, reverse))
+		sameTree(t, w.LinkDijkstra(g, src, banned), LinkDijkstra(g, src, banned))
 	}
 }
 

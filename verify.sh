@@ -125,14 +125,15 @@ stage_race() (
 
 stage_bench() (
     # ns/op regression gate: the bucket-frontier Dijkstra, the
-    # fast-engine payment path, and the socket-free binary frame path
-    # are held to within 15% of the committed BENCH_payments.json
-    # baseline. -count=3 with benchreport's min-of-runs collapse
-    # absorbs scheduler noise; exit code 3 means a real regression.
+    # fast-engine payment path, the all-sources engines and the
+    # socket-free binary frame path are held to within 15% of the
+    # committed BENCH_payments.json baseline. -count=3 with
+    # benchreport's min-of-runs collapse absorbs scheduler noise; exit
+    # code 3 means a real regression.
     # GATETIME trades gate fidelity for speed.
     set -x
     go run ./cmd/benchreport -pkg ./... \
-        -bench 'BenchmarkDijkstraBucket$|BenchmarkPaymentFast|BenchmarkServeBinaryQuoteFrame$' \
+        -bench 'BenchmarkDijkstraBucket$|BenchmarkPaymentFast|BenchmarkAllSources(Link|Node)UDG300$|BenchmarkServeBinaryQuoteFrame$' \
         -benchtime "${GATETIME:-0.3s}" -count 3 \
         -out /tmp/bench_gate.json -baseline BENCH_payments.json
     # Artifact regen: ns/op, B/op, allocs/op for the whole contracted
