@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -35,16 +36,37 @@ type BenchResult struct {
 }
 
 // BenchReport is the BENCH_payments.json schema: the environment
-// lines go test prints plus every benchmark in input order. No
-// timestamps — two runs on the same machine with the same timings
-// diff cleanly.
+// lines go test prints, the host stamp, and every benchmark in input
+// order. No timestamps — two runs on the same machine with the same
+// timings diff cleanly.
 type BenchReport struct {
-	Go         string        `json:"go,omitempty"`
 	OS         string        `json:"goos,omitempty"`
 	Arch       string        `json:"goarch,omitempty"`
 	CPU        string        `json:"cpu,omitempty"`
 	Package    string        `json:"pkg,omitempty"`
+	Host       HostStamp     `json:"host"`
 	Benchmarks []BenchResult `json:"benchmarks"`
+}
+
+// HostStamp records what a report's ns/op figures depend on besides
+// the code: the CPU count, GOMAXPROCS (which the go test child
+// inherits), the Go toolchain, and the commit measured (git describe,
+// "-dirty" for uncommitted changes). A report parsed from a
+// transcript leaves it empty rather than guess at the machine that
+// produced it.
+type HostStamp struct {
+	NProc      int    `json:"nproc,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
+	Commit     string `json:"commit,omitempty"`
+}
+
+func stampHost() HostStamp {
+	h := HostStamp{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output(); err == nil {
+		h.Commit = strings.TrimSpace(string(out))
+	}
+	return h
 }
 
 // DefaultBenchPattern is the benchmark selection regexp benchreport
@@ -58,13 +80,14 @@ const DefaultBenchPattern = "BenchmarkPayment|BenchmarkDijkstra|BenchmarkDeltaSt
 // DefaultGatePattern selects the benchmarks the -baseline regression
 // gate holds to the -regress bound: the bucket-frontier Dijkstra, the
 // fast-engine payment path, the all-sources engines on a paper-scale
-// UDG, and the socket-free binary frame path — the hot loops this
-// repo's performance contract is written against.
+// UDG, the serving memo miss on the same UDG shape, and the
+// socket-free binary frame path — the hot loops this repo's
+// performance contract is written against.
 // Deliberately narrow — protocol, figure, and socket-bound benchmarks
 // are too noisy for a hard ns/op gate (BenchmarkServeBinaryQuoteFrame
 // gates the binary plane precisely because it excludes the kernel and
 // goroutine handoff).
-const DefaultGatePattern = "^BenchmarkDijkstraBucket$|^BenchmarkPaymentFast|^BenchmarkAllSources(Link|Node)UDG300$|^BenchmarkServeBinaryQuoteFrame$"
+const DefaultGatePattern = "^BenchmarkDijkstraBucket$|^BenchmarkPaymentFast|^BenchmarkAllSources(Link|Node)UDG300$|^BenchmarkServeQuoteMissUDG300$|^BenchmarkServeBinaryQuoteFrame$"
 
 // RunBenchReport runs the payment/Dijkstra/protocol benchmark suite
 // under -benchmem and writes the parsed results as JSON — the harness
@@ -126,6 +149,8 @@ func RunBenchReport(args []string, stdout, stderr io.Writer) int {
 	report.Package = *pkg
 	if *input != "" {
 		report.Package = "" // unknown: the transcript's pkg line wins
+	} else {
+		report.Host = stampHost()
 	}
 
 	blob, err := json.MarshalIndent(report, "", "  ")
@@ -172,6 +197,14 @@ func checkRegression(report *BenchReport, baselinePath, gate string, maxPct floa
 	if err := json.Unmarshal(blob, &base); err != nil {
 		fmt.Fprintf(stderr, "benchreport: baseline %s: %v\n", baselinePath, err)
 		return 1
+	}
+	// Different hosts move ns/op on their own; say so next to the
+	// verdicts rather than let a host change read as a code change.
+	baseHost, runHost := base.Host, report.Host
+	baseHost.Commit, runHost.Commit = "", ""
+	if base.CPU != report.CPU || baseHost != runHost {
+		fmt.Fprintf(stdout, "benchreport: baseline host differs:\n  baseline cpu=%q %+v\n  this run cpu=%q %+v\n",
+			base.CPU, base.Host, report.CPU, report.Host)
 	}
 	old := make(map[string]float64, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
@@ -223,7 +256,6 @@ func ParseBenchOutput(r io.Reader) (*BenchReport, error) {
 			{"goarch: ", &report.Arch},
 			{"pkg: ", &report.Package},
 			{"cpu: ", &report.CPU},
-			{"go: ", &report.Go},
 		} {
 			if strings.HasPrefix(line, hdr.prefix) {
 				*hdr.dst = strings.TrimPrefix(line, hdr.prefix)

@@ -126,6 +126,45 @@ func TestBenchReportRegressionGate(t *testing.T) {
 	}
 }
 
+// TestBenchReportHostStamp: a live run stamps the host, a transcript
+// leaves the stamp empty, and the -baseline gate prints both stamps
+// when the hosts differ (the commit alone does not count) without
+// changing its verdict.
+func TestBenchReportHostStamp(t *testing.T) {
+	if live := stampHost(); live.NProc < 1 || live.GOMAXPROCS < 1 || !strings.HasPrefix(live.GoVersion, "go") {
+		t.Errorf("live stamp %+v", live)
+	}
+	dir := t.TempDir()
+	in := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(in, []byte("cpu: X\nBenchmarkPaymentFast256-4 100 50000 ns/op\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gate := func(base BenchReport) (int, string) {
+		t.Helper()
+		path := filepath.Join(dir, "base.json")
+		blob, _ := json.Marshal(base)
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := RunBenchReport([]string{"-input", in, "-out", filepath.Join(dir, "r.json"), "-baseline", path}, &stdout, &stderr)
+		return code, stdout.String() + stderr.String()
+	}
+	rows := []BenchResult{{Name: "BenchmarkPaymentFast256", NsPerOp: 50000}}
+	code, log := gate(BenchReport{CPU: "X", Host: HostStamp{Commit: "abc"}, Benchmarks: rows})
+	if code != 0 || strings.Contains(log, "host differs") {
+		t.Errorf("same host, other commit: exit %d, log %s", code, log)
+	}
+	code, log = gate(BenchReport{CPU: "X", Host: HostStamp{NProc: 8, GOMAXPROCS: 8, GoVersion: "go1.22", Commit: "abc"}, Benchmarks: rows})
+	if code != 0 || !strings.Contains(log, "host differs") ||
+		!strings.Contains(log, "{NProc:8 GOMAXPROCS:8 GoVersion:go1.22 Commit:abc}") || !strings.Contains(log, "{NProc:0 GOMAXPROCS:0") {
+		t.Errorf("other host: exit %d, log %s", code, log)
+	}
+	if _, log = gate(BenchReport{CPU: "Y", Benchmarks: rows}); !strings.Contains(log, `cpu="Y"`) {
+		t.Errorf("other cpu model not reported: %s", log)
+	}
+}
+
 func TestParseBenchOutputRejectsGarbage(t *testing.T) {
 	if _, err := ParseBenchOutput(strings.NewReader("BenchmarkX-4 notanumber 12 ns/op")); err == nil {
 		t.Error("bad iteration count accepted")

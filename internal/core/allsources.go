@@ -63,7 +63,7 @@ func (sv *Solver) allQuotesDelta(g *graph.NodeGraph, dest int, engine Engine) ([
 		cost := treeS.Dist[dest]
 		switch engine {
 		case EngineFast:
-			w.fastReplacementFrom(g, s, dest, treeS, rT, path)
+			w.fastReplacement(g, s, dest, treeS, rT, path)
 		case EngineNaive:
 			// Per-relay counterfactual runs go through the stepper
 			// too; they overwrite treeS, which is why the path was

@@ -44,20 +44,14 @@ import (
 // read), node-set membership uses generation-stamped marks, and the
 // bushes are bucketed with a counting sort into one flat array — so
 // the warmed steady state allocates nothing.
-func (w *solverSpace) fastReplacement(g *graph.NodeGraph, s, t int, treeS *sp.Tree, path []int) {
-	if len(path) <= 2 {
-		return
-	}
-	treeT := w.wsT.NodeDijkstra(g, t, nil)
-	w.fastReplacementFrom(g, s, t, treeS, treeT.Dist, path)
-}
-
-// fastReplacementFrom is fastReplacement with the destination-rooted
-// distance table R (R[v] = dist(v, t)) supplied by the caller. The
-// single-quote path computes it fresh above; the all-sources delta
-// path computes it once per destination and shares it across every
-// source — the "dijkstra once, test many roots" amortization.
-func (w *solverSpace) fastReplacementFrom(g *graph.NodeGraph, s, t int, treeS *sp.Tree, R []float64, path []int) {
+//
+// R is the destination-rooted table, R[v] = dist(v, t). It depends
+// only on the costs and t, never on s, so callers may share one
+// across sources: Solver.QuoteIntoToward takes it from its caller
+// (the serving daemon builds one per target per epoch) and
+// allQuotesDelta builds one per destination — the "dijkstra once,
+// test many roots" amortization.
+func (w *solverSpace) fastReplacement(g *graph.NodeGraph, s, t int, treeS *sp.Tree, R []float64, path []int) {
 	if len(path) <= 2 {
 		return
 	}
@@ -66,7 +60,7 @@ func (w *solverSpace) fastReplacementFrom(g *graph.NodeGraph, s, t int, treeS *s
 	csr := g.CSR()
 
 	L := treeS.Dist // L(v): interior cost s→v, endpoints excluded
-	// R(v): interior cost v→t, endpoints excluded (parameter)
+	// R(v): interior cost v→t, endpoints excluded (the table argument)
 
 	// pos[v] = index on the path, or -1. Stale entries from earlier
 	// queries are harmless: pos is only read for nodes in treeS.Order,
@@ -294,7 +288,7 @@ func replacementCostsFast(g *graph.NodeGraph, s, t int, treeS *sp.Tree) map[int]
 	}
 	w := defaultSolver.acquire(g.N())
 	defer defaultSolver.release(w)
-	w.fastReplacement(g, s, t, treeS, path)
+	w.fastReplacement(g, s, t, treeS, w.wsT.NodeDijkstra(g, t, nil).Dist, path)
 	out := make(map[int]float64, len(path)-2)
 	for i := 1; i+1 < len(path); i++ {
 		out[path[i]] = w.repl[path[i]]

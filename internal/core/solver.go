@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -149,6 +150,30 @@ func errUnknownEngine(engine Engine) error {
 //
 //lint:noalloc the serving hot path: every allocation here is one per request at 10^5 req/s
 func (sv *Solver) QuoteInto(q *Quote, g *graph.NodeGraph, s, t int, engine Engine) error {
+	return sv.QuoteIntoToward(q, g, s, t, engine, nil)
+}
+
+// DestTable returns toward[v] = dist(v, t) for every node v of g: the
+// destination-rooted table Algorithm 1 reads as R(v). It is built by
+// the same pooled Dijkstra run QuoteInto makes for each fast quote,
+// so QuoteIntoToward with this table is bit-identical to QuoteInto in
+// every cost regime. The table depends only on g's costs and t; a
+// caller quoting many sources toward one target on one cost vector
+// builds it once and shares it (it is never written after return).
+func (sv *Solver) DestTable(g *graph.NodeGraph, t int) []float64 {
+	w := sv.acquire(g.N())
+	defer sv.release(w)
+	return slices.Clone(w.wsT.NodeDijkstra(g, t, nil).Dist)
+}
+
+// QuoteIntoToward is QuoteInto with the fast engine's destination
+// table supplied by the caller: toward must be DestTable(g, t) on the
+// same cost vector, or nil to have it computed here exactly as
+// QuoteInto does. The naive engine never reads it. With a shared
+// table a fast quote costs one source Dijkstra plus Algorithm 1.
+//
+//lint:noalloc the serving miss path: a quote on a shared destination table must not touch the heap
+func (sv *Solver) QuoteIntoToward(q *Quote, g *graph.NodeGraph, s, t int, engine Engine, toward []float64) error {
 	if s == t {
 		return errSameEndpoint(s)
 	}
@@ -171,7 +196,10 @@ func (sv *Solver) QuoteInto(q *Quote, g *graph.NodeGraph, s, t int, engine Engin
 	case EngineNaive:
 		w.naiveReplacement(g, s, t, path)
 	case EngineFast:
-		w.fastReplacement(g, s, t, treeS, path)
+		if toward == nil && len(path) > 2 {
+			toward = w.wsT.NodeDijkstra(g, t, nil).Dist
+		}
+		w.fastReplacement(g, s, t, treeS, toward, path)
 	default:
 		return errUnknownEngine(engine)
 	}

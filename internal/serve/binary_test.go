@@ -261,9 +261,8 @@ func TestBinaryDrain(t *testing.T) {
 }
 
 // TestBinaryFrameCacheMetrics mirrors TestQuoteCacheServesIdenticalBytes
-// for the binary payload memo: one miss builds the frame, the repeat
-// is a hit, and the underlying quote JSON memo was filled by the same
-// request (the binary payload aliases it).
+// for the binary plane: one miss builds the payload, the repeat is a
+// hit, and the memo it filled is the one the HTTP plane reads.
 func TestBinaryFrameCacheMetrics(t *testing.T) {
 	s := New(twoIslands(), Config{})
 	defer s.Drain()
@@ -287,14 +286,15 @@ func TestBinaryFrameCacheMetrics(t *testing.T) {
 	if snap.Counters["serve.binary.quotes_served"] != 2 {
 		t.Errorf("binary quotes served = %d, want 2", snap.Counters["serve.binary.quotes_served"])
 	}
-	// The binary miss filled the JSON memo too, so an HTTP request
-	// for the same key is already a hit.
+	// Both planes read one memo, so an HTTP request for the key the
+	// binary miss filled is a hit, and the binary miss never touched
+	// the HTTP counters.
 	if rec := doReq(t, s, "GET", "/quote?src=0&dst=3", ""); rec.Code != http.StatusOK {
 		t.Fatalf("http quote after binary fill: %d", rec.Code)
 	}
 	snap = obs.Default.Snapshot()
-	if snap.Counters["serve.quote_cache_hits"] != 1 || snap.Counters["serve.quote_cache_misses"] != 1 {
-		t.Errorf("json cache hits/misses = %d/%d, want 1/1 (binary miss fills the json memo)",
+	if snap.Counters["serve.quote_cache_hits"] != 1 || snap.Counters["serve.quote_cache_misses"] != 0 {
+		t.Errorf("json cache hits/misses = %d/%d, want 1/0 (binary miss fills the shared memo)",
 			snap.Counters["serve.quote_cache_hits"], snap.Counters["serve.quote_cache_misses"])
 	}
 }

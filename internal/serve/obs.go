@@ -18,12 +18,14 @@ var (
 	// cost updates inside them.
 	obsBatches        = obs.NewCounter("serve.batches_applied")
 	obsUpdatesApplied = obs.NewCounter("serve.cost_updates_applied")
-	// obsCacheHits/Misses split quote lookups by whether the epoch's
-	// memo already held the marshalled response; obsTreesBuilt counts
-	// per-source LCP tree constructions (at most sources×epochs).
+	// obsCacheHits/Misses split HTTP quote lookups by whether the
+	// epoch's memo (shared with the binary plane) already held the
+	// response; obsDestTables counts destination-table builds, one
+	// per target quoted with the fast engine per epoch (a lost
+	// concurrent build race counts too).
 	obsCacheHits   = obs.NewCounter("serve.quote_cache_hits")
 	obsCacheMisses = obs.NewCounter("serve.quote_cache_misses")
-	obsTreesBuilt  = obs.NewCounter("serve.lcp_trees_built")
+	obsDestTables  = obs.NewCounter("serve.dest_tables_built")
 	// obsDrains counts completed graceful drains.
 	obsDrains = obs.NewCounter("serve.drains")
 
@@ -58,8 +60,9 @@ var (
 	obsBinEpochMismatch = obs.NewCounter("serve.binary.epoch_mismatch")
 	obsBinProtoErrors   = obs.NewCounter("serve.binary.proto_errors")
 	// obsBinCacheHits/Misses split binary quote lookups by whether
-	// the snapshot's pre-serialized payload memo already held the
-	// frame bytes — the binary twin of serve.quote_cache_hits.
+	// the epoch's memo already held the payload — the binary twin of
+	// serve.quote_cache_hits over the same memo, so a key first
+	// filled by either plane is a hit for the other.
 	obsBinCacheHits   = obs.NewCounter("serve.binary.frame_cache_hits")
 	obsBinCacheMisses = obs.NewCounter("serve.binary.frame_cache_misses")
 

@@ -10,9 +10,9 @@
 // observe a half-applied batch, and carry the epoch number into their
 // response so consistency is externally checkable. Batched cost
 // updates funnel through one writer goroutine per shard; each batch
-// becomes exactly one epoch flip. Per-source least-cost-path trees
-// and served quotes are cached inside the snapshot, so cost drift
-// invalidates them by construction.
+// becomes exactly one epoch flip. Served quotes and the per-target
+// destination tables they are priced from are cached inside the
+// snapshot, so cost drift invalidates them by construction.
 //
 // The server applies admission control (a bounded in-flight budget;
 // excess load is refused with 429 rather than queued) and supports

@@ -159,9 +159,25 @@ func TestQuoteCacheServesIdenticalBytes(t *testing.T) {
 		t.Errorf("cache hits/misses = %d/%d, want 1/1",
 			snap.Counters["serve.quote_cache_hits"], snap.Counters["serve.quote_cache_misses"])
 	}
-	// One LCP tree was built and reused.
-	if got := snap.Counters["serve.lcp_trees_built"]; got != 1 {
-		t.Errorf("lcp_trees_built = %d, want 1", got)
+	// One destination table toward 3 was built and reused, here by a
+	// second source in the same epoch.
+	if rec := doReq(t, s, "GET", "/quote?src=1&dst=3", ""); rec.Code != http.StatusOK {
+		t.Fatalf("second source: status %d", rec.Code)
+	}
+	snap = obs.Default.Snapshot()
+	if got := snap.Counters["serve.dest_tables_built"]; got != 1 {
+		t.Errorf("dest_tables_built = %d, want 1", got)
+	}
+	// The naive engine reads no destination table, so it builds none.
+	obs.Reset()
+	for i := 0; i < 2; i++ {
+		if rec := doReq(t, s, "GET", "/quote?src=0&dst=2&engine=naive", ""); rec.Code != http.StatusOK {
+			t.Fatalf("naive quote: status %d", rec.Code)
+		}
+	}
+	snap = obs.Default.Snapshot()
+	if got := snap.Counters["serve.dest_tables_built"]; got != 0 {
+		t.Errorf("naive dest_tables_built = %d, want 0", got)
 	}
 }
 

@@ -1,13 +1,12 @@
 package serve
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 
 	"truthroute/internal/core"
 	"truthroute/internal/graph"
-	"truthroute/internal/sp"
+	"truthroute/internal/obs"
 )
 
 // CostUpdate is one declared-cost change inside an update batch.
@@ -42,30 +41,37 @@ type shard struct {
 }
 
 // snapshot is one immutable epoch: a cost view sharing the shard's
-// adjacency and built CSR, plus per-source caches that live exactly
-// as long as the epoch is current. Cost drift publishes a new
-// snapshot, so every cache is invalidated wholesale by the epoch flip
-// itself — there is no per-entry invalidation protocol to get wrong.
+// adjacency and built CSR, plus per-node caches that live exactly as
+// long as the epoch is current. Cost drift publishes a new snapshot,
+// so every cache is invalidated wholesale by the epoch flip itself —
+// there is no per-entry invalidation protocol to get wrong.
 type snapshot struct {
 	epoch uint64
 	g     *graph.NodeGraph
-	src   []sourceCache
+	node  []nodeCache
 }
 
-// sourceCache holds one source's lazily built state for the lifetime
-// of a snapshot: its least-cost-path tree, the fully marshalled
-// quotes already served from it, and the pre-serialized binary
-// KindQuoteResp payloads built from those same quote bytes. Both
-// memos die with the snapshot, so the binary plane inherits the
-// epoch-flip invalidation story wholesale.
-type sourceCache struct {
-	tree   atomic.Pointer[sp.Tree]
-	quotes sync.Map // int64 key engine<<32|target -> []byte quote JSON
-	frames sync.Map // int64 key engine<<32|target -> []byte binary quote payload
+// nodeCache holds one local node's lazily built state for the
+// lifetime of a snapshot: the memo of quotes served with the node as
+// source, and the fast engine's destination table with the node as
+// target.
+type nodeCache struct {
+	// memo maps the int64 key engine<<32|target to the pre-serialized
+	// binary KindQuoteResp payload: shard id, epoch, then the quote
+	// JSON. The HTTP plane serves payload[binaryQuoteHeadLen:], so
+	// both planes serve one allocation per key per epoch and their
+	// byte identity holds by construction.
+	memo sync.Map
+	// toward is dist(v, node) for every local v — the table Algorithm
+	// 1 reads as R(v). It depends only on the epoch's costs and the
+	// target, so the first fast miss toward the node builds it and
+	// every later miss toward it in the epoch shares it: 8n bytes per
+	// quoted target per epoch.
+	toward atomic.Pointer[[]float64]
 }
 
 func newSnapshot(epoch uint64, g *graph.NodeGraph) *snapshot {
-	return &snapshot{epoch: epoch, g: g, src: make([]sourceCache, g.N())}
+	return &snapshot{epoch: epoch, g: g, node: make([]nodeCache, g.N())}
 }
 
 // newShard carves component comp out of g, warms the shard's solver
@@ -130,124 +136,87 @@ func (sh *shard) stop() {
 	<-sh.done
 }
 
-// tree returns the snapshot's cached least-cost-path tree rooted at
-// local source ls, building it on first use. Concurrent builders race
-// benignly: both compute the same deterministic tree and the losing
+// toward returns the snapshot's destination table toward local
+// target lt, building it on first use. Concurrent builders race
+// benignly: both run the same deterministic Dijkstra and the losing
 // CompareAndSwap discards its copy, mirroring graph.CSR's build race.
 //
-//lint:writer racing builders compute the same deterministic tree; the CAS loser discards its copy unpublished
-func (sh *shard) tree(snap *snapshot, ls int) *sp.Tree {
-	sc := &snap.src[ls]
-	if t := sc.tree.Load(); t != nil {
-		return t
+//lint:writer racing builders compute the same deterministic table; the CAS loser discards its copy unpublished
+func (sh *shard) toward(snap *snapshot, lt int) []float64 {
+	nc := &snap.node[lt]
+	if d := nc.toward.Load(); d != nil {
+		return *d
 	}
-	obsTreesBuilt.Inc()
-	t := sp.NodeDijkstra(snap.g, ls, nil)
-	if sc.tree.CompareAndSwap(nil, t) {
-		return t
+	obsDestTables.Inc()
+	d := sh.solver.DestTable(snap.g, lt)
+	if nc.toward.CompareAndSwap(nil, &d) {
+		return d
 	}
-	return sc.tree.Load()
+	return *nc.toward.Load()
 }
 
-// quote serves the marshalled global-id quote for (ls, lt) on snap,
-// memoizing per (engine, source, target) for the snapshot's lifetime.
-// Repeated requests within an epoch are served the identical bytes:
-// the hit path is a sync.Map probe and performs no heap allocation
-// (the int64 key boxes on the stack because Load does not retain it).
+// quote serves the marshalled global-id quote JSON for (ls, lt) on
+// snap: the HTTP plane's view of the epoch memo.
 //
 //lint:noalloc the epoch-cached read path: a warm hit must serve bytes without touching the heap
 func (sh *shard) quote(snap *snapshot, ls, lt int, engine core.Engine) ([]byte, error) {
-	sc := &snap.src[ls]
-	key := int64(engine)<<32 | int64(lt)
-	if v, ok := sc.quotes.Load(key); ok {
-		obsCacheHits.Inc()
-		return v.([]byte), nil
-	}
-	return sh.quoteMiss(snap, sc, ls, lt, engine, key)
-}
-
-// quoteMiss fills the per-snapshot cache on the first request for a
-// key. Outlined from quote with //go:noinline: LoadOrStore retains its
-// boxed key and the marshalled body is a fresh allocation by design —
-// once per (engine, source, target) per epoch — and folding either
-// back into quote would put heap traffic on the annotated hit path.
-//
-//go:noinline
-func (sh *shard) quoteMiss(snap *snapshot, sc *sourceCache, ls, lt int, engine core.Engine, key int64) ([]byte, error) {
-	obsCacheMisses.Inc()
-	body, err := sh.computeQuote(snap, ls, lt, engine)
+	payload, err := sh.payload(snap, ls, lt, engine, obsCacheHits, obsCacheMisses)
 	if err != nil {
 		return nil, err
 	}
-	if v, loaded := sc.quotes.LoadOrStore(key, body); loaded {
-		// A concurrent filler won the store; serve its copy so every
-		// response for this key aliases one allocation.
-		return v.([]byte), nil
-	}
-	return body, nil
+	return payload[binaryQuoteHeadLen:], nil
 }
 
-// framePayload serves the pre-serialized KindQuoteResp payload —
-// shard id, epoch, then the exact quote JSON bytes the HTTP path
-// serves — for (ls, lt) on snap, memoized per (engine, source,
-// target) for the snapshot's lifetime. This is the binary plane's
-// whole steady state: the hit path is one sync.Map probe, and the
-// caller's only remaining work is a frame-header fill and one copy
-// of these bytes into the connection's write buffer. No marshalling
-// of any kind happens per request.
+// framePayload serves the pre-serialized KindQuoteResp payload for
+// (ls, lt) on snap: the binary plane's view of the epoch memo. The
+// caller's only remaining work is a frame-header fill and one copy of
+// these bytes into the connection's write buffer.
 //
 //lint:noalloc the epoch-cached binary read path: a warm hit must serve payload bytes without touching the heap
 func (sh *shard) framePayload(snap *snapshot, ls, lt int, engine core.Engine) ([]byte, error) {
-	sc := &snap.src[ls]
-	key := int64(engine)<<32 | int64(lt)
-	if v, ok := sc.frames.Load(key); ok {
-		obsBinCacheHits.Inc()
-		return v.([]byte), nil
-	}
-	return sh.framePayloadMiss(snap, sc, ls, lt, engine, key)
+	return sh.payload(snap, ls, lt, engine, obsBinCacheHits, obsBinCacheMisses)
 }
 
-// framePayloadMiss assembles the binary payload on the first binary
-// request for a key, reusing (or filling) the JSON quote memo so the
-// quote bytes inside the binary payload alias the HTTP path's
-// allocation. Outlined from framePayload like quoteMiss: the
-// once-per-key-per-epoch assembly allocates by design and must stay
-// off the annotated hit path.
+// payload serves the memoized payload for (engine, ls, lt) on snap,
+// counting the lookup against the calling plane's hit/miss counters.
+// Repeated requests within an epoch are served the identical bytes:
+// the hit path is one sync.Map probe and performs no heap allocation
+// (the int64 key boxes on the stack because Load does not retain it).
+//
+//lint:noalloc the shared memo probe under both planes' hit paths
+func (sh *shard) payload(snap *snapshot, ls, lt int, engine core.Engine, hits, misses *obs.Counter) ([]byte, error) {
+	memo := &snap.node[ls].memo
+	key := int64(engine)<<32 | int64(lt)
+	if v, ok := memo.Load(key); ok {
+		hits.Inc()
+		return v.([]byte), nil
+	}
+	misses.Inc()
+	return sh.fill(snap, memo, ls, lt, engine, key)
+}
+
+// fill runs the mechanism on the first request for a key in an epoch
+// and publishes the payload. The quote is one source Dijkstra plus
+// Algorithm 1 on the epoch's shared destination table (the naive
+// engine reads no table, so none is built for it). Local ids are
+// remapped to global ones; the remapping is monotone (globals is
+// increasing), so the served path and payments are bit-identical to
+// a direct core.Solver run on the full topology — the property the
+// differential harness asserts.
+//
+// Outlined from payload with //go:noinline: LoadOrStore retains its
+// boxed key and the payload is a fresh allocation by design — once
+// per (engine, source, target) per epoch — and folding either back
+// into payload would put heap traffic on the annotated hit path.
 //
 //go:noinline
-func (sh *shard) framePayloadMiss(snap *snapshot, sc *sourceCache, ls, lt int, engine core.Engine, key int64) ([]byte, error) {
-	obsBinCacheMisses.Inc()
-	body, err := sh.quote(snap, ls, lt, engine)
-	if err != nil {
-		return nil, err
-	}
-	payload := make([]byte, 0, binaryQuoteHeadLen+len(body))
-	payload = EncodeBinaryQuote(payload, &BinaryQuote{
-		Shard: uint32(sh.id),
-		Epoch: snap.epoch,
-		Quote: body,
-	})
-	if v, loaded := sc.frames.LoadOrStore(key, payload); loaded {
-		// A concurrent filler won the store; serve its copy so every
-		// response for this key aliases one allocation.
-		return v.([]byte), nil
-	}
-	return payload, nil
-}
-
-// computeQuote runs the mechanism on the snapshot and marshals the
-// result with local ids remapped to global ones. The remapping is
-// monotone (globals is increasing), so the served path and payments
-// are bit-identical to a direct core.Solver run on the full topology
-// — the property the differential harness asserts.
-func (sh *shard) computeQuote(snap *snapshot, ls, lt int, engine core.Engine) ([]byte, error) {
-	if !sh.tree(snap, ls).Reachable(lt) {
-		// Unreachable inside a connected component cannot happen with
-		// finite costs; kept as defence in depth.
-		return nil, core.ErrNoPath
+func (sh *shard) fill(snap *snapshot, memo *sync.Map, ls, lt int, engine core.Engine, key int64) ([]byte, error) {
+	var toward []float64
+	if engine == core.EngineFast {
+		toward = sh.toward(snap, lt)
 	}
 	var local core.Quote
-	if err := sh.solver.QuoteInto(&local, snap.g, ls, lt, engine); err != nil {
+	if err := sh.solver.QuoteIntoToward(&local, snap.g, ls, lt, engine, toward); err != nil {
 		return nil, err
 	}
 	global := core.Quote{
@@ -263,5 +232,21 @@ func (sh *shard) computeQuote(snap *snapshot, ls, lt int, engine core.Engine) ([
 	for v, p := range local.Payments {
 		global.Payments[sh.globals[v]] = p
 	}
-	return json.Marshal(&global)
+	// The same bytes json.Marshal(&global) returns, without its
+	// re-validating copy of them.
+	body, err := global.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	payload := EncodeBinaryQuote(make([]byte, 0, binaryQuoteHeadLen+len(body)), &BinaryQuote{
+		Shard: uint32(sh.id),
+		Epoch: snap.epoch,
+		Quote: body,
+	})
+	if v, loaded := memo.LoadOrStore(key, payload); loaded {
+		// A concurrent filler won the store; serve its copy so every
+		// response for this key aliases one allocation.
+		return v.([]byte), nil
+	}
+	return payload, nil
 }

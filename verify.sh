@@ -125,15 +125,17 @@ stage_race() (
 
 stage_bench() (
     # ns/op regression gate: the bucket-frontier Dijkstra, the
-    # fast-engine payment path, the all-sources engines and the
-    # socket-free binary frame path are held to within 15% of the
-    # committed BENCH_payments.json baseline. -count=3 with
+    # fast-engine payment path, the all-sources engines, the serving
+    # memo miss and the socket-free binary frame path are held to
+    # within 15% of the committed BENCH_payments.json baseline,
+    # which must come from the same host (the gate prints both host
+    # stamps when they differ). -count=3 with
     # benchreport's min-of-runs collapse absorbs scheduler noise; exit
     # code 3 means a real regression.
     # GATETIME trades gate fidelity for speed.
     set -x
     go run ./cmd/benchreport -pkg ./... \
-        -bench 'BenchmarkDijkstraBucket$|BenchmarkPaymentFast|BenchmarkAllSources(Link|Node)UDG300$|BenchmarkServeBinaryQuoteFrame$' \
+        -bench 'BenchmarkDijkstraBucket$|BenchmarkPaymentFast|BenchmarkAllSources(Link|Node)UDG300$|BenchmarkServeQuoteMissUDG300$|BenchmarkServeBinaryQuoteFrame$' \
         -benchtime "${GATETIME:-0.3s}" -count 3 \
         -out /tmp/bench_gate.json -baseline BENCH_payments.json
     # Artifact regen: ns/op, B/op, allocs/op for the whole contracted
@@ -150,14 +152,15 @@ stage_serve() {
     # tests, forced fresh (-count=1): the differential suite (every
     # served quote byte-identical to a direct solver run on the
     # response's epoch) plain and under the race detector, plus the
-    # steady-state allocation gate on the shard compute path. Then a
+    # allocation gates on the shard compute path and the memo miss and
+    # the destination-table build race under -race. Then a
     # real daemon serves a netgen topology over TCP, survives a short
     # quoteload smoke with zero transport errors, and drains cleanly
     # on SIGTERM.
     ( set -x
       go test ./internal/serve/ -count=1
       go test ./internal/serve/ -race -count=1 \
-        -run 'TestServeDifferentialVsSolver|TestServeSnapshotConsistencyUnderRace|TestServeCrashMidBatchRestart' )
+        -run 'TestServeDifferentialVsSolver|TestServeSnapshotConsistencyUnderRace|TestServeCrashMidBatchRestart|TestDestTableBuildRace' )
 
     tmp=$(mktemp -d)
     daemon=""
