@@ -17,7 +17,6 @@ import (
 	"truthroute/internal/experiment"
 	"truthroute/internal/graph"
 	"truthroute/internal/netsim"
-	"truthroute/internal/pq"
 	"truthroute/internal/sp"
 	"truthroute/internal/wireless"
 )
@@ -68,21 +67,14 @@ func BenchmarkFigure4Resale(b *testing.B) {
 // is demoted to oracle-only duty (see internal/pq/pq.go) and no
 // longer benchmarked on the default path.
 
-func benchDijkstraHeap(b *testing.B, mk func(int) pq.Queue) {
+func BenchmarkDijkstraBinaryHeap(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 0))
 	g := graph.RandomBiconnected(2048, 4.0/2048, rng)
 	g.RandomizeCosts(0.5, 5, rng)
-	old := sp.NewQueue
-	sp.NewQueue = mk
-	defer func() { sp.NewQueue = old }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp.NodeDijkstra(g, 0, nil)
 	}
-}
-
-func BenchmarkDijkstraBinaryHeap(b *testing.B) {
-	benchDijkstraHeap(b, func(c int) pq.Queue { return pq.NewBinary(c) })
 }
 
 // benchDijkstraWorkspace pits the monotone bucket frontier against
@@ -137,26 +129,6 @@ func benchDijkstraScale(b *testing.B, n int) {
 func BenchmarkDijkstraBucket10k(b *testing.B)  { benchDijkstraScale(b, 10_000) }
 func BenchmarkDijkstraBucket100k(b *testing.B) { benchDijkstraScale(b, 100_000) }
 func BenchmarkDijkstraBucket1M(b *testing.B)   { benchDijkstraScale(b, 1_000_000) }
-
-// --- Ablation A1b: delta-stepping parallel SSSP vs sequential
-// Dijkstra, same sparse quantized instances. The Serial100k row
-// (workers=1) isolates the algorithmic overhead of bucketed
-// relaxation from the parallel speedup.
-
-func benchDeltaStep(b *testing.B, n, workers int) {
-	g := quantizedSparse(n, uint64(n))
-	ds := sp.NewDeltaStepper(n, workers)
-	ds.Run(g, 0, nil) // warm: Prepare + first traversal
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ds.Run(g, 0, nil)
-	}
-}
-
-func BenchmarkDeltaStepping10k(b *testing.B)        { benchDeltaStep(b, 10_000, 0) }
-func BenchmarkDeltaStepping100k(b *testing.B)       { benchDeltaStep(b, 100_000, 0) }
-func BenchmarkDeltaStepping1M(b *testing.B)         { benchDeltaStep(b, 1_000_000, 0) }
-func BenchmarkDeltaSteppingSerial100k(b *testing.B) { benchDeltaStep(b, 100_000, 1) }
 
 // --- Ablation A2: the paper's fast Algorithm 1 vs the naive
 // one-Dijkstra-per-relay payment computation. Grid topologies give
@@ -232,39 +204,6 @@ func BenchmarkAllSourcesPerSource(b *testing.B) {
 			if _, err := core.UnicastQuote(g, s, 0, core.EngineFast); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// BenchmarkAllSourcesParallel is the per-source engine fanned across
-// GOMAXPROCS workers on the pooled solver — same work as
-// BenchmarkAllSourcesPerSource, reorganized.
-func BenchmarkAllSourcesParallel(b *testing.B) {
-	rng := rand.New(rand.NewPCG(3, 0))
-	g := graph.RandomBiconnected(512, 6.0/512, rng)
-	g.RandomizeCosts(0.5, 5, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.AllUnicastQuotesParallel(g, 0, core.EngineFast); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAllSourcesDeltaShared is the same all-sources workload
-// routed through the shared-frontier delta path (threshold forced
-// down so it engages at n=512): one engine whose internal phases are
-// parallel, sharing the destination-rooted distance table across
-// every source, instead of per-source fan-out.
-func BenchmarkAllSourcesDeltaShared(b *testing.B) {
-	rng := rand.New(rand.NewPCG(3, 0))
-	g := graph.RandomBiconnected(512, 6.0/512, rng)
-	g.RandomizeCosts(0.5, 5, rng)
-	sv := core.NewSolver(core.WithAllSourcesDelta(2, 0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sv.AllQuotes(g, 0, core.EngineFast); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

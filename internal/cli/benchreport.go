@@ -75,7 +75,7 @@ func stampHost() HostStamp {
 // a Benchmark* function in the repo neither matches this pattern nor
 // appears in its reasoned exclusion list, so additions here and there
 // stay in lockstep.
-const DefaultBenchPattern = "BenchmarkPayment|BenchmarkDijkstra|BenchmarkDeltaStepping|BenchmarkReplacement|BenchmarkAllSources|BenchmarkDistributedProtocol|BenchmarkProtocolUnder|BenchmarkEdgePayment|BenchmarkServe|BenchmarkServeBinaryQuote"
+const DefaultBenchPattern = "BenchmarkPayment|BenchmarkDijkstra|BenchmarkReplacement|BenchmarkAllSources|BenchmarkDistributedProtocol|BenchmarkProtocolUnder|BenchmarkEdgePayment|BenchmarkServe|BenchmarkServeBinaryQuote"
 
 // DefaultGatePattern selects the benchmarks the -baseline regression
 // gate holds to the -regress bound: the bucket-frontier Dijkstra, the

@@ -41,21 +41,35 @@ import (
 // Link payments are w(k,next) + (A − cost), the operations LinkQuote
 // applies, and the destination tree is bit-identical to a forward
 // Dijkstra on the reversed graph. Node payments are A − cost + c_k,
-// QuoteInto's final operation. A itself is summed from the
-// destination outwards here and from the source forwards by the
-// single-source engines, so payments agree with them to a few ulps
-// (batch_udg_test.go holds them to 1e-9 relative), not bit for bit.
+// QuoteInto's final operation. Where the result is bit for bit equal
+// to the single-source engines depends on the cost regime:
+//
+//   - When g.CostQuantum negotiates (every cost a multiple of one
+//     power-of-two quantum, all path sums below 2^52 quanta), every
+//     sum and difference is an exact integer count of quanta. Cost,
+//     A and every payment then carry the same bits as QuoteInto's,
+//     for both engines, wherever the two choose the same path. The
+//     oracle's engine-batch check holds them to that.
+//   - On continuous costs A is summed from the destination outwards
+//     here and from the source forwards by the single-source engines,
+//     so cost and payments agree with them only to a few ulps
+//     (batch_udg_test.go holds them to 1e-9 relative).
 
 // AllUnicastQuotes returns a quote towards dest for every source in
 // a node-weighted graph (entry dest is nil). Sources that cannot
 // reach dest get a nil entry. Monopoly relays yield +Inf payments,
-// exactly as in UnicastQuote.
+// exactly as in UnicastQuote. A dest outside [0, g.N()) yields g.N()
+// nil entries.
 func AllUnicastQuotes(g *graph.NodeGraph, dest int) []*Quote {
-	bs := acquireBatch(g.N())
+	n := g.N()
+	out := make([]*Quote, n)
+	if n < 2 || dest < 0 || dest >= n {
+		return out
+	}
+	bs := acquireBatch(n)
 	defer batchPool.Put(bs)
 	bs.loadNode(g, dest)
 	bs.solve(dest)
-	out := make([]*Quote, g.N())
 	for _, v := range bs.settled[1:] {
 		i := int(v)
 		q := bs.quote(i, dest)
@@ -74,11 +88,15 @@ func AllUnicastQuotes(g *graph.NodeGraph, dest int) []*Quote {
 //
 //	p_i^k = d_{k,next} + ||P(i,0, d|^k ∞)|| − ||P(i,0,d)||.
 func AllLinkQuotes(g *graph.LinkGraph, dest int) []*Quote {
-	bs := acquireBatch(g.N())
+	n := g.N()
+	out := make([]*Quote, n)
+	if n < 2 || dest < 0 || dest >= n {
+		return out
+	}
+	bs := acquireBatch(n)
 	defer batchPool.Put(bs)
 	bs.loadLink(g)
 	bs.solve(dest)
-	out := make([]*Quote, g.N())
 	for _, v := range bs.settled[1:] {
 		i := int(v)
 		q := bs.quote(i, dest)

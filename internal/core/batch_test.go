@@ -120,3 +120,34 @@ func TestAllQuotesMonopoly(t *testing.T) {
 		t.Errorf("monopolists = %v, want [1]", got)
 	}
 }
+
+// TestAllSourcesOutOfRangeDest pins the input contract of both batch
+// entry points: a destination outside the graph, or a graph too small
+// to route in, yields g.N() nil entries rather than a panic.
+func TestAllSourcesOutOfRangeDest(t *testing.T) {
+	ring := graph.Ring(5)
+	lg := graph.NewLinkGraph(3)
+	lg.AddArc(0, 1, 1)
+	lg.AddArc(1, 2, 1)
+	single := graph.NewNodeGraph(1)
+	for _, c := range []struct {
+		name string
+		out  []*Quote
+		n    int
+	}{
+		{"node dest=-1", AllUnicastQuotes(ring, -1), 5},
+		{"node dest=n", AllUnicastQuotes(ring, 5), 5},
+		{"node n=1", AllUnicastQuotes(single, 0), 1},
+		{"link dest=-1", AllLinkQuotes(lg, -1), 3},
+		{"link dest=n", AllLinkQuotes(lg, 3), 3},
+	} {
+		if len(c.out) != c.n {
+			t.Errorf("%s: %d entries, want %d", c.name, len(c.out), c.n)
+		}
+		for s, q := range c.out {
+			if q != nil {
+				t.Errorf("%s: entry %d = %v, want nil", c.name, s, q)
+			}
+		}
+	}
+}

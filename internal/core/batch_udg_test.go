@@ -104,6 +104,111 @@ func TestAllSourcesMatchPerSourceUDG(t *testing.T) {
 	}
 }
 
+// bitwiseQuote fails unless got carries exactly want's path, cost bits
+// and payment bits.
+func bitwiseQuote(t *testing.T, label string, got, want *Quote) {
+	t.Helper()
+	if got == nil || !slices.Equal(got.Path, want.Path) {
+		t.Fatalf("%s %d->%d: batch %v, want path %v", label, want.Source, want.Target, got, want.Path)
+	}
+	if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || len(got.Payments) != len(want.Payments) {
+		t.Fatalf("%s %d->%d: batch cost %v payments %v, want %v %v",
+			label, want.Source, want.Target, got.Cost, got.Payments, want.Cost, want.Payments)
+	}
+	for k, w := range want.Payments {
+		if p, ok := got.Payments[k]; !ok || math.Float64bits(p) != math.Float64bits(w) {
+			t.Fatalf("%s %d->%d: p^%d = %v (bits %x), want %v (bits %x)",
+				label, want.Source, want.Target, k, p, math.Float64bits(p), w, math.Float64bits(w))
+		}
+	}
+}
+
+// TestAllSourcesBitwiseQuantized: on quarter-grid costs every sum is
+// exact, so the batch engine's quotes equal Solver.Quote's bit for
+// bit, for both engines, wherever the two choose the same path (a
+// different path is an equal-cost tie). The oracle's engine-batch
+// check relies on this.
+func TestAllSourcesBitwiseQuantized(t *testing.T) {
+	sv := NewSolver()
+	for _, n := range []int{100, 300} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			g0, _, dest := udgFixture(n, seed)
+			costs := g0.Costs()
+			for v := range costs {
+				costs[v] = math.Round(costs[v]*4) / 4
+			}
+			g := g0.WithCosts(costs)
+			if _, ok := g.CostQuantum(); !ok {
+				t.Fatal("quarter-grid costs do not negotiate a quantum")
+			}
+			all := AllUnicastQuotes(g, dest)
+			quoted, compared := 0, 0
+			for s := 0; s < n; s++ {
+				if s == dest {
+					continue
+				}
+				for _, engine := range []Engine{EngineFast, EngineNaive} {
+					want, err := sv.Quote(g, s, dest, engine)
+					if err != nil {
+						if all[s] != nil {
+							t.Fatalf("n=%d seed=%d: batch quoted unreachable source %d", n, seed, s)
+						}
+						continue
+					}
+					quoted++
+					if all[s] != nil && !slices.Equal(all[s].Path, want.Path) {
+						continue
+					}
+					compared++
+					bitwiseQuote(t, "quantized", all[s], want)
+				}
+			}
+			if compared < quoted*9/10 {
+				t.Fatalf("n=%d seed=%d: only %d of %d quotes shared a path", n, seed, compared, quoted)
+			}
+		}
+	}
+}
+
+// TestAllSourcesNodePaymentOrder pins the float order of the node
+// payment A − cost + c_k on continuous costs. Source 1 reaches
+// destination 0 over parallel chains of one or two relays, so every
+// path sum it needs has at most two terms and is the same float
+// whichever end it is summed from; only the order of the final
+// combination can then make the batch payment differ from QuoteInto's.
+func TestAllSourcesNodePaymentOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 1))
+	sv := NewSolver()
+	for trial := 0; trial < 200; trial++ {
+		chains := 2 + rng.IntN(4)
+		g := graph.NewNodeGraph(2 + 2*chains)
+		next := 2
+		for c := 0; c < chains; c++ {
+			if rng.IntN(2) == 0 {
+				g.AddEdge(1, next)
+				g.AddEdge(next, 0)
+				next++
+				continue
+			}
+			g.AddEdge(1, next)
+			g.AddEdge(next, next+1)
+			g.AddEdge(next+1, 0)
+			next += 2
+		}
+		for v := 1; v < g.N(); v++ {
+			g.SetCost(v, 1+9*rng.Float64())
+		}
+		got := AllUnicastQuotes(g, 0)[1]
+		for _, engine := range []Engine{EngineFast, EngineNaive} {
+			want, err := sv.Quote(g, 1, 0, engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bitwiseQuote(t, "chains", got, want)
+		}
+	}
+}
+
 // reversed returns g with every arc turned around, weights kept.
 func reversed(g *graph.LinkGraph) *graph.LinkGraph {
 	r := graph.NewLinkGraph(g.N())

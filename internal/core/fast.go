@@ -48,9 +48,8 @@ import (
 // R is the destination-rooted table, R[v] = dist(v, t). It depends
 // only on the costs and t, never on s, so callers may share one
 // across sources: Solver.QuoteIntoToward takes it from its caller
-// (the serving daemon builds one per target per epoch) and
-// allQuotesDelta builds one per destination — the "dijkstra once,
-// test many roots" amortization.
+// (the serving daemon builds one per target per epoch) — the
+// "dijkstra once, test many roots" amortization.
 func (w *solverSpace) fastReplacement(g *graph.NodeGraph, s, t int, treeS *sp.Tree, R []float64, path []int) {
 	if len(path) <= 2 {
 		return
@@ -274,26 +273,6 @@ func (w *solverSpace) fastReplacement(g *graph.NodeGraph, s, t int, treeS *sp.Tr
 		}
 		w.repl[path[l]] = best
 	}
-}
-
-// replacementCostsFast runs the fast engine on a pooled workspace and
-// returns the replacement costs as a map keyed by relay id — the
-// allocating form the property and soak tests cross-check against the
-// naive engine. Steady-state callers go through Solver.QuoteInto,
-// which reads the dense w.repl array directly.
-func replacementCostsFast(g *graph.NodeGraph, s, t int, treeS *sp.Tree) map[int]float64 {
-	path := treeS.PathTo(t)
-	if len(path) <= 2 {
-		return map[int]float64{}
-	}
-	w := defaultSolver.acquire(g.N())
-	defer defaultSolver.release(w)
-	w.fastReplacement(g, s, t, treeS, w.wsT.NodeDijkstra(g, t, nil).Dist, path)
-	out := make(map[int]float64, len(path)-2)
-	for i := 1; i+1 < len(path); i++ {
-		out[path[i]] = w.repl[path[i]]
-	}
-	return out
 }
 
 // crossEdge is a non-tree edge jumping from the {level < l} region to

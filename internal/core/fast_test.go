@@ -3,16 +3,15 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"truthroute/internal/graph"
-	"truthroute/internal/sp"
 )
 
-// almostEqual compares replacement costs with a relative tolerance;
-// the fast and naive engines add the same float terms in different
-// orders.
+// almostEqual compares costs and payments with a relative tolerance;
+// the engines add the same float terms in different orders.
 func almostEqual(a, b float64) bool {
 	if math.IsInf(a, 1) || math.IsInf(b, 1) {
 		return math.IsInf(a, 1) && math.IsInf(b, 1)
@@ -22,22 +21,26 @@ func almostEqual(a, b float64) bool {
 	return diff <= 1e-9*scale
 }
 
+// fastVsNaive quotes s→tgt with both engines. They share the source
+// tree, so paths must match exactly and payments to 1e-9 relative.
 func fastVsNaive(t *testing.T, g *graph.NodeGraph, s, tgt int) bool {
 	t.Helper()
-	tree := sp.NodeDijkstra(g, s, nil)
-	if !tree.Reachable(tgt) {
+	naive, nerr := UnicastQuote(g, s, tgt, EngineNaive)
+	fast, ferr := UnicastQuote(g, s, tgt, EngineFast)
+	if nerr != nil || ferr != nil {
+		if nerr != ferr {
+			t.Logf("errors: fast %v naive %v", ferr, nerr)
+			return false
+		}
 		return true
 	}
-	path := tree.PathTo(tgt)
-	fast := replacementCostsFast(g, s, tgt, tree)
-	naive := sp.ReplacementCostsNaive(g, s, tgt, path)
-	if len(fast) != len(naive) {
-		t.Logf("entry count: fast %d naive %d", len(fast), len(naive))
+	if !slices.Equal(fast.Path, naive.Path) || len(fast.Payments) != len(naive.Payments) {
+		t.Logf("fast %v naive %v", fast, naive)
 		return false
 	}
-	for k, want := range naive {
-		if got, ok := fast[k]; !ok || !almostEqual(got, want) {
-			t.Logf("node %d: fast %v naive %v (path %v)", k, got, want, path)
+	for k, want := range naive.Payments {
+		if got, ok := fast.Payments[k]; !ok || !almostEqual(got, want) {
+			t.Logf("node %d: fast %v naive %v (path %v)", k, got, want, naive.Path)
 			return false
 		}
 	}
@@ -112,24 +115,23 @@ func TestFastOnFixtures(t *testing.T) {
 }
 
 func TestFastTrivialPaths(t *testing.T) {
-	// Direct edge: no interior nodes, empty result.
+	// Direct edge: no interior nodes, no payments.
 	g := graph.NewNodeGraph(2)
 	g.AddEdge(0, 1)
-	tree := sp.NodeDijkstra(g, 0, nil)
-	if got := replacementCostsFast(g, 0, 1, tree); len(got) != 0 {
-		t.Errorf("direct edge replacement = %v, want empty", got)
+	q, err := UnicastQuote(g, 0, 1, EngineFast)
+	if err != nil || len(q.Payments) != 0 {
+		t.Errorf("direct edge payments = %v (err %v), want none", q, err)
 	}
-	// Single relay with a single detour.
+	// Single relay with a single detour: p^1 = 5 − 1 + 1.
 	h2 := graph.NewNodeGraph(4)
 	h2.AddEdge(0, 1)
 	h2.AddEdge(1, 2)
 	h2.AddEdge(0, 3)
 	h2.AddEdge(3, 2)
 	h2.SetCosts([]float64{0, 1, 0, 5})
-	tree2 := sp.NodeDijkstra(h2, 0, nil)
-	got := replacementCostsFast(h2, 0, 2, tree2)
-	if !almostEqual(got[1], 5) {
-		t.Errorf("replacement for lone relay = %v, want 5", got[1])
+	q, err = UnicastQuote(h2, 0, 2, EngineFast)
+	if err != nil || !almostEqual(q.Payments[1], 5) {
+		t.Errorf("payment to lone relay = %v (err %v), want 5", q, err)
 	}
 }
 

@@ -19,13 +19,6 @@ var (
 	obsPoolMisses = obs.NewCounter("core.pool_misses")
 	// obsQuoteNS is the per-quote wall latency in nanoseconds.
 	obsQuoteNS = obs.NewHistogram("core.quote_latency_ns", obs.LatencyBuckets())
-	// obsFanWorkers is the worker count of the most recent AllQuotes
-	// fan-out; obsFanActive the sources in flight right now;
-	// obsFanPeak the high-water mark of concurrent sources — together
-	// the fan-out occupancy picture.
-	obsFanWorkers = obs.NewGauge("core.fanout_workers")
-	obsFanActive  = obs.NewGauge("core.fanout_active")
-	obsFanPeak    = obs.NewGauge("core.fanout_peak")
 	// obsBatchSolves counts all-sources solves (AllUnicastQuotes and
 	// AllLinkQuotes calls, one destination each); obsBatchSubtree is
 	// the distribution of relay subtree sizes |T_k| their per-relay

@@ -9,7 +9,7 @@ import (
 
 // TestSolverObservability checks the quote hot path feeds the obs
 // layer when it is enabled: served-quote counts, pool hit/miss
-// accounting, the latency histogram, and the fan-out gauges.
+// accounting and the latency histogram.
 func TestSolverObservability(t *testing.T) {
 	g := graph.Grid(4, 4)
 	obs.Reset()
@@ -43,28 +43,6 @@ func TestSolverObservability(t *testing.T) {
 	}
 	if got := s.Histograms["core.quote_latency_ns"].Count; got != quotes {
 		t.Errorf("latency histogram count = %d, want %d", got, quotes)
-	}
-
-	obs.Reset()
-	all, err := sv.AllQuotes(g, 0, EngineFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != g.N() {
-		t.Fatalf("AllQuotes returned %d slots", len(all))
-	}
-	s = obs.Default.Snapshot()
-	if got := s.Counters["core.quotes_served"]; got != uint64(g.N()-1) {
-		t.Errorf("core.quotes_served after AllQuotes = %d, want %d", got, g.N()-1)
-	}
-	if s.Gauges["core.fanout_workers"] < 1 {
-		t.Errorf("core.fanout_workers = %d, want >= 1", s.Gauges["core.fanout_workers"])
-	}
-	if s.Gauges["core.fanout_peak"] < 1 {
-		t.Errorf("core.fanout_peak = %d, want >= 1", s.Gauges["core.fanout_peak"])
-	}
-	if s.Gauges["core.fanout_active"] != 0 {
-		t.Errorf("core.fanout_active = %d after completion, want 0", s.Gauges["core.fanout_active"])
 	}
 }
 

@@ -307,3 +307,16 @@ func TestEdgeQuoteJSONMarshal(t *testing.T) {
 		t.Errorf("edge payment key missing: %s", data)
 	}
 }
+
+func TestQuoteString(t *testing.T) {
+	q, err := UnicastQuote(graph.Figure2(), 1, 0, EngineFast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := q.String()
+	for _, want := range []string{"Quote{1->0", "path=", "cost=", "total="} {
+		if !strings.Contains(s, want) {
+			t.Errorf("String() = %q, missing %q", s, want)
+		}
+	}
+}

@@ -36,17 +36,8 @@ func TestSoakFastEngines(t *testing.T) {
 		g.RandomizeCosts(0.05, 9, rng)
 		s := rng.IntN(n)
 		tgt := (s + 1 + rng.IntN(n-1)) % n
-		tree := sp.NodeDijkstra(g, s, nil)
-		if !tree.Reachable(tgt) {
-			continue
-		}
-		path := tree.PathTo(tgt)
-		fast := replacementCostsFast(g, s, tgt, tree)
-		naive := sp.ReplacementCostsNaive(g, s, tgt, path)
-		for k, want := range naive {
-			if got, ok := fast[k]; !ok || !almostEqual(got, want) {
-				t.Fatalf("seed %d node %d: fast %v naive %v", seed, k, got, want)
-			}
+		if !fastVsNaive(t, g, s, tgt) {
+			t.Fatalf("seed %d: fast and naive quotes for %d->%d differ", seed, s, tgt)
 		}
 	}
 }

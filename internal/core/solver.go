@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -32,22 +31,7 @@ type Solver struct {
 	// pooled workspace (FrontierAuto unless overridden — the oracle
 	// forces FrontierBinary to differentially pin the bucket queue).
 	frontier sp.Frontier
-
-	// All-sources delta-stepping configuration: graphs with at least
-	// deltaThreshold nodes route AllQuotes through one shared-frontier
-	// parallel SSSP engine instead of per-source goroutine fan-out.
-	deltaThreshold int
-	deltaWorkers   int
-	dsMu           sync.Mutex
-	ds             *sp.DeltaStepper
 }
-
-// DefaultDeltaThreshold is the node count at which AllQuotes switches
-// from per-source fan-out to the shared-frontier delta-stepping path.
-// Below it, per-source parallelism keeps every core busy with cheap
-// independent runs; above it, the per-run memory footprint makes the
-// cache-cooperative shared frontier win.
-const DefaultDeltaThreshold = 100_000
 
 // SolverOption configures a Solver at construction.
 type SolverOption func(*Solver)
@@ -56,17 +40,6 @@ type SolverOption func(*Solver)
 // Dijkstra workspaces (see sp.Frontier).
 func WithFrontier(f sp.Frontier) SolverOption {
 	return func(sv *Solver) { sv.frontier = f }
-}
-
-// WithAllSourcesDelta overrides when (threshold, in nodes; 0 keeps
-// DefaultDeltaThreshold) and how wide (workers; 0 means GOMAXPROCS)
-// the delta-stepping all-sources path engages. Tests and benchmarks
-// use a low threshold to exercise the path on small graphs.
-func WithAllSourcesDelta(threshold, workers int) SolverOption {
-	return func(sv *Solver) {
-		sv.deltaThreshold = threshold
-		sv.deltaWorkers = workers
-	}
 }
 
 // NewSolver returns an empty solver; workspaces are created on demand
@@ -79,8 +52,8 @@ func NewSolver(opts ...SolverOption) *Solver {
 	return sv
 }
 
-// defaultSolver backs UnicastQuote and AllUnicastQuotesParallel so
-// every caller shares one warm workspace pool.
+// defaultSolver backs UnicastQuote so every caller shares one warm
+// workspace pool.
 var defaultSolver = NewSolver()
 
 func (sv *Solver) acquire(n int) *solverSpace {
@@ -223,82 +196,6 @@ func (sv *Solver) QuoteIntoToward(q *Quote, g *graph.NodeGraph, s, t int, engine
 	return nil
 }
 
-// AllQuotes computes one quote per source toward dest, fanning the
-// sources across GOMAXPROCS workers. Entry dest is nil; sources that
-// cannot reach dest get a nil entry, matching AllUnicastQuotes. Each
-// source is an independent computation on its own pooled workspace
-// writing an index-addressed slot — the same determinism discipline
-// experiment.forEach applies to campaign instances — so the result is
-// bit-identical to a sequential loop over Quote.
-func (sv *Solver) AllQuotes(g *graph.NodeGraph, dest int, engine Engine) ([]*Quote, error) {
-	if engine != EngineFast && engine != EngineNaive {
-		return nil, errUnknownEngine(engine)
-	}
-	n := g.N()
-	out := make([]*Quote, n)
-	if n < 2 || dest < 0 || dest >= n {
-		return out, nil
-	}
-	thr := sv.deltaThreshold
-	if thr == 0 {
-		thr = DefaultDeltaThreshold
-	}
-	if n >= thr {
-		if dq, ok := sv.allQuotesDelta(g, dest, engine); ok {
-			return dq, nil
-		}
-		// !ok: the cost regime rules delta-stepping out (zero or
-		// non-finite relay costs) — fall through to the fan-out path.
-	}
-	g.CSR() // build the shared topology view once, before the fan-out
-	each := func(s int) {
-		obsFanPeak.SetMax(obsFanActive.Add(1))
-		if q, err := sv.Quote(g, s, dest, engine); err == nil {
-			out[s] = q // only ErrNoPath is possible here; its slot stays nil
-		}
-		obsFanActive.Add(-1)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n-1 {
-		workers = n - 1
-	}
-	obsFanWorkers.Set(int64(workers))
-	if workers <= 1 {
-		for s := 0; s < n; s++ {
-			if s != dest {
-				each(s)
-			}
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range work {
-				each(s)
-			}
-		}()
-	}
-	for s := 0; s < n; s++ {
-		if s != dest {
-			work <- s
-		}
-	}
-	close(work)
-	wg.Wait()
-	return out, nil
-}
-
-// AllUnicastQuotesParallel is AllQuotes on the shared package solver:
-// the per-source counterpart of the batch engine (batch.go) for
-// workloads that want true VCG quotes for every source at once.
-func AllUnicastQuotesParallel(g *graph.NodeGraph, dest int, engine Engine) ([]*Quote, error) {
-	return defaultSolver.AllQuotes(g, dest, engine)
-}
-
 // solverSpace is one worker's reusable scratch. All arrays are sized
 // to the last graph seen and only reallocated when the node count
 // changes; per-query state is invalidated either by generation-
@@ -319,10 +216,6 @@ type solverSpace struct {
 
 	// repl[k] = ||P_-vk(s,t,d)|| for the current query's relays.
 	repl []float64
-	// rShared holds the destination-rooted distance table the
-	// all-sources delta path shares across its sources (grown lazily;
-	// only that path uses it).
-	rShared []float64
 	// banned is all-false between uses (the naive engine sets and
 	// clears one entry per relay).
 	banned  []bool
@@ -335,7 +228,7 @@ func (w *solverSpace) resize(n int) {
 	}
 	w.n = n
 	w.wsS, w.wsT = sp.NewWorkspace(n), sp.NewWorkspace(n)
-	w.bushQ = sp.NewQueue(n)
+	w.bushQ = pq.NewBinary(n)
 	w.levelSet, w.inBush, w.done = sp.NewMarks(n), sp.NewMarks(n), sp.NewMarks(n)
 	w.pos, w.level = make([]int32, n), make([]int32, n)
 	w.rAvoid, w.cAvoid = make([]float64, n), make([]float64, n)

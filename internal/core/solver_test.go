@@ -191,49 +191,25 @@ func TestSolverConcurrent(t *testing.T) {
 	}
 }
 
-// TestAllQuotesParallelMatchesSequential: the fan-out must be a pure
-// reorganization of the work — per-slot results identical to a plain
-// loop, nil exactly where UnicastQuote errors.
-func TestAllQuotesParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewPCG(35, 1))
-	for trial := 0; trial < 15; trial++ {
-		n := 3 + rng.IntN(50)
-		g := graph.ErdosRenyi(n, 0.12, rng) // often disconnected: nil slots
-		g.RandomizeCosts(0.1, 5, rng)
-		dest := rng.IntN(n)
-		for _, engine := range []Engine{EngineFast, EngineNaive} {
-			got, err := AllUnicastQuotesParallel(g, dest, engine)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != n {
-				t.Fatalf("got %d slots, want %d", len(got), n)
-			}
-			for s := 0; s < n; s++ {
-				want, wantErr := UnicastQuote(g, s, dest, engine)
-				if wantErr != nil {
-					want = nil
-				}
-				if !reflect.DeepEqual(got[s], want) {
-					t.Fatalf("trial %d source %d: parallel %+v, sequential %+v", trial, s, got[s], want)
-				}
-			}
+// TestAllQuotesFrontierForcedBinary pins that WithFrontier(binary) and
+// the default auto policy produce identical quotes from every source
+// on quantized costs — the solver-level face of the bucket-queue
+// equivalence.
+func TestAllQuotesFrontierForcedBinary(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 3))
+	g := graph.RandomBiconnected(48, 3.0/48, rng)
+	for v := 0; v < g.N(); v++ {
+		g.SetCost(v, 0.5+float64(rng.IntN(12))/4)
+	}
+	auto, bin := NewSolver(), NewSolver(WithFrontier(sp.FrontierBinary))
+	for s := 0; s < g.N(); s++ {
+		if s == 1 {
+			continue
 		}
-	}
-}
-
-func TestAllQuotesParallelValidation(t *testing.T) {
-	g := graph.Ring(5)
-	if _, err := AllUnicastQuotesParallel(g, 0, Engine(99)); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	out, err := AllUnicastQuotesParallel(g, -1, EngineFast)
-	if err != nil || len(out) != 5 {
-		t.Fatalf("out-of-range dest: out=%v err=%v", out, err)
-	}
-	for _, q := range out {
-		if q != nil {
-			t.Fatal("out-of-range dest produced a quote")
+		a, aerr := auto.Quote(g, s, 1, EngineFast)
+		b, berr := bin.Quote(g, s, 1, EngineFast)
+		if aerr != berr || !reflect.DeepEqual(a, b) {
+			t.Fatalf("source %d: bucket-frontier quote %v (err %v), forced-binary %v (err %v)", s, a, aerr, b, berr)
 		}
 	}
 }

@@ -47,10 +47,9 @@ func sortRow(row []int, prio []float64) {
 	sort.Slice(row, func(i, j int) bool { return prio[row[i]] < prio[row[j]] }) // want `heap escape in //lint:noalloc function sortRow`
 }
 
-// relaxInto mirrors the delta-stepping relaxation done wrong: a
-// per-call request buffer escaping through a channel, the shape the
-// real engine (internal/sp/deltastep.go) avoids by reusing per-worker
-// buffers across phases.
+// relaxInto mirrors a parallel relaxation phase done wrong: a
+// per-call request buffer escaping through a channel, the shape a
+// real engine avoids by reusing per-worker buffers across phases.
 //
 //lint:noalloc knowingly wrong; the per-phase buffer escapes into the channel
 func relaxInto(ch chan []int, n int) {

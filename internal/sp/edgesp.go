@@ -2,6 +2,7 @@ package sp
 
 import (
 	"truthroute/internal/graph"
+	"truthroute/internal/pq"
 )
 
 // EdgeDijkstra computes the shortest path tree from src in an
@@ -16,7 +17,7 @@ func EdgeDijkstra(g *graph.EdgeWeighted, src int, bannedEdge *[2]int) *Tree {
 		t.Parent[i] = -1
 	}
 	t.Dist[src] = 0
-	q := NewQueue(n)
+	q := pq.NewBinary(n)
 	q.Push(src, 0)
 	for q.Len() > 0 {
 		u, du := q.Pop()

@@ -16,8 +16,4 @@ var (
 	// to roll back from the previous run on the same workspace; its
 	// shape should track obsTouched one run behind.
 	obsRollback = obs.NewHistogram("sp.rollback_nodes", obs.SizeBuckets())
-	// obsDeltaRuns counts runs served by the parallel delta-stepping
-	// engine (its sequential fallbacks count under sp.dijkstra_runs
-	// only).
-	obsDeltaRuns = obs.NewCounter("sp.deltastep_runs")
 )

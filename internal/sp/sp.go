@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"truthroute/internal/graph"
-	"truthroute/internal/pq"
 )
 
 // Inf marks unreachable nodes.
@@ -71,11 +70,6 @@ func (t *Tree) PathInto(v int, buf []int) []int {
 
 // Reachable reports whether v is reachable from the root.
 func (t *Tree) Reachable(v int) bool { return !math.IsInf(t.Dist[v], 1) }
-
-// NewQueue selects the priority queue implementation used by all
-// Dijkstra variants in this package; it is a variable so benchmarks
-// can ablate binary vs pairing heaps.
-var NewQueue = func(capacity int) pq.Queue { return pq.NewBinary(capacity) }
 
 // NodeDijkstra computes the shortest path tree from src in a
 // node-weighted graph, where a path's cost is the sum of the costs of

@@ -106,9 +106,9 @@ const (
 // SetFrontier selects the frontier policy for subsequent runs.
 func (w *Workspace) SetFrontier(f Frontier) { w.frontier = f }
 
-// NewWorkspace returns a workspace for graphs with n nodes. The queue
-// implementation honours the package-level NewQueue hook, so heap
-// ablations cover the workspace path too.
+// NewWorkspace returns a workspace for graphs with n nodes. Its heap
+// frontier is a binary heap; SetFrontier decides whether runs use it
+// or the bucket queue.
 func NewWorkspace(n int) *Workspace {
 	w := &Workspace{}
 	w.Resize(n)
@@ -127,7 +127,7 @@ func (w *Workspace) Resize(n int) {
 		w.tree.Dist[i] = Inf
 		w.tree.Parent[i] = -1
 	}
-	w.q = NewQueue(n)
+	w.q = pq.NewBinary(n)
 	w.touched = make([]int, 0, n)
 }
 
