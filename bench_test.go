@@ -63,9 +63,7 @@ func BenchmarkFigure4Resale(b *testing.B) {
 	}
 }
 
-// --- Ablation A1: frontier choice inside Dijkstra. The pairing heap
-// is demoted to oracle-only duty (see internal/pq/pq.go) and no
-// longer benchmarked on the default path.
+// --- Ablation A1: frontier choice inside Dijkstra.
 
 func BenchmarkDijkstraBinaryHeap(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 0))

@@ -29,8 +29,7 @@ var benchExcluded = map[string]string{
 	"BenchmarkFigure4Resale": "paper fixture smoke benchmark, no perf contract",
 	// Heap micro-benchmarks are subsumed by BenchmarkDijkstra*, which
 	// exercises both heaps on the real workload.
-	"BenchmarkBinaryHeapsort4096":  "raw heap op, covered via BenchmarkDijkstra*",
-	"BenchmarkPairingHeapsort4096": "raw heap op, covered via BenchmarkDijkstra*",
+	"BenchmarkBinaryHeapsort4096": "raw heap op, covered via BenchmarkDijkstra*",
 	// One-off studies with no gated number.
 	"BenchmarkNetsimCompensated": "packet-level study, dominated by the netsim loop",
 	"BenchmarkNeighborhoodQuote": "p̃ study benchmark, O(n) Dijkstras per op by design",

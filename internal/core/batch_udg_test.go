@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -124,12 +125,34 @@ func bitwiseQuote(t *testing.T, label string, got, want *Quote) {
 }
 
 // TestAllSourcesBitwiseQuantized: on quarter-grid costs every sum is
-// exact, so the batch engine's quotes equal Solver.Quote's bit for
-// bit, for both engines, wherever the two choose the same path (a
-// different path is an equal-cost tie). The oracle's engine-batch
-// check relies on this.
+// exact and every node-model engine routes along the destination tree,
+// so the batch engine's quotes equal Solver.Quote's bit for bit, path
+// included, for both engines and every source. The oracle's
+// engine-batch check relies on this.
 func TestAllSourcesBitwiseQuantized(t *testing.T) {
 	sv := NewSolver()
+	check := func(label string, g *graph.NodeGraph, dest int) {
+		t.Helper()
+		if _, ok := g.CostQuantum(); !ok {
+			t.Fatalf("%s: quarter-grid costs do not negotiate a quantum", label)
+		}
+		all := AllUnicastQuotes(g, dest)
+		for s := 0; s < g.N(); s++ {
+			if s == dest {
+				continue
+			}
+			for _, engine := range []Engine{EngineFast, EngineNaive} {
+				want, err := sv.Quote(g, s, dest, engine)
+				if err != nil {
+					if all[s] != nil {
+						t.Fatalf("%s: batch quoted unreachable source %d", label, s)
+					}
+					continue
+				}
+				bitwiseQuote(t, label, all[s], want)
+			}
+		}
+	}
 	for _, n := range []int{100, 300} {
 		for seed := uint64(1); seed <= 2; seed++ {
 			g0, _, dest := udgFixture(n, seed)
@@ -137,36 +160,12 @@ func TestAllSourcesBitwiseQuantized(t *testing.T) {
 			for v := range costs {
 				costs[v] = math.Round(costs[v]*4) / 4
 			}
-			g := g0.WithCosts(costs)
-			if _, ok := g.CostQuantum(); !ok {
-				t.Fatal("quarter-grid costs do not negotiate a quantum")
-			}
-			all := AllUnicastQuotes(g, dest)
-			quoted, compared := 0, 0
-			for s := 0; s < n; s++ {
-				if s == dest {
-					continue
-				}
-				for _, engine := range []Engine{EngineFast, EngineNaive} {
-					want, err := sv.Quote(g, s, dest, engine)
-					if err != nil {
-						if all[s] != nil {
-							t.Fatalf("n=%d seed=%d: batch quoted unreachable source %d", n, seed, s)
-						}
-						continue
-					}
-					quoted++
-					if all[s] != nil && !slices.Equal(all[s].Path, want.Path) {
-						continue
-					}
-					compared++
-					bitwiseQuote(t, "quantized", all[s], want)
-				}
-			}
-			if compared < quoted*9/10 {
-				t.Fatalf("n=%d seed=%d: only %d of %d quotes shared a path", n, seed, compared, quoted)
-			}
+			check(fmt.Sprintf("udg n=%d seed=%d", n, seed), g0.WithCosts(costs), dest)
 		}
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		g, ap := quarterUDG(300, seed)
+		check(fmt.Sprintf("serving seed=%d", seed), g, ap)
 	}
 }
 
@@ -234,6 +233,29 @@ func TestLinkDestTreeBitIdentical(t *testing.T) {
 			if math.Float64bits(bs.dist[v]) != math.Float64bits(want.Dist[v]) || int(bs.parent[v]) != want.Parent[v] {
 				t.Fatalf("n=%d node %d: dist %v parent %d, want %v parent %d",
 					n, v, bs.dist[v], bs.parent[v], want.Dist[v], want.Parent[v])
+			}
+		}
+		batchPool.Put(bs)
+	}
+}
+
+// TestNodeDestTreeSharedBySolver pins the one tie rule's tree: on
+// quantized serving fixtures the batch engine's node-model destination
+// tree equals Solver.DestTable parent for parent and distance for
+// distance, with the bucket frontier and with the binary heap.
+func TestNodeDestTreeSharedBySolver(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		g, ap := quarterUDG(300, seed)
+		bs := acquireBatch(g.N())
+		bs.loadNode(g, ap)
+		bs.destTree(ap)
+		for _, sv := range []*Solver{NewSolver(), NewSolver(WithFrontier(sp.FrontierBinary))} {
+			want := sv.DestTable(g, ap)
+			for v := 0; v < g.N(); v++ {
+				if math.Float64bits(bs.dist[v]) != math.Float64bits(want.Dist[v]) || int(bs.parent[v]) != want.Parent[v] {
+					t.Fatalf("seed=%d node %d: dist %v parent %d, want %v parent %d",
+						seed, v, bs.dist[v], bs.parent[v], want.Dist[v], want.Parent[v])
+				}
 			}
 		}
 		batchPool.Put(bs)

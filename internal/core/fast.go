@@ -48,8 +48,16 @@ import (
 // R is the destination-rooted table, R[v] = dist(v, t). It depends
 // only on the costs and t, never on s, so callers may share one
 // across sources: Solver.QuoteIntoToward takes it from its caller
-// (the serving daemon builds one per target per epoch) — the
-// "dijkstra once, test many roots" amortization.
+// (the serving daemon builds one per target per continuous-cost
+// epoch) — the "dijkstra once, test many roots" amortization.
+//
+// path may be any least cost s–t path, not only treeS's tree path to t
+// (QuoteIntoToward passes the destination tree's path on exact costs).
+// Levels read Parent only for off-path nodes, so level(v) is still the
+// last path node on v's tree path. When sums are exact and interior
+// costs positive, prefix costs strictly increase along path from r_1
+// on, so every path node that is a tree ancestor of r_j has an index
+// below j, and a prefix to a node of level < l still avoids r_l.
 func (w *solverSpace) fastReplacement(g *graph.NodeGraph, s, t int, treeS *sp.Tree, R []float64, path []int) {
 	if len(path) <= 2 {
 		return

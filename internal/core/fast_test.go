@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"truthroute/internal/graph"
+	"truthroute/internal/sp"
 )
 
 // almostEqual compares costs and payments with a relative tolerance;
@@ -99,6 +100,44 @@ func TestQuickFastMatchesNaiveGrid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFastMatchesNaiveBitwiseOnTies: small integer costs make
+// equal-cost paths common, so the destination-tree path both engines
+// follow on exact costs often differs from s's path in its own source
+// tree. Algorithm 1 must still match the naive engine bit for bit.
+func TestFastMatchesNaiveBitwiseOnTies(t *testing.T) {
+	sv := NewSolver()
+	differ := 0
+	for seed := uint64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 13))
+		n := 6 + rng.IntN(40)
+		g := graph.RandomBiconnected(n, 0.1+0.3*rng.Float64(), rng)
+		for v := 0; v < n; v++ {
+			g.SetCost(v, float64(1+rng.IntN(3)))
+		}
+		tgt := rng.IntN(n)
+		for s := 0; s < n; s++ {
+			if s == tgt {
+				continue
+			}
+			naive, err := sv.Quote(g, s, tgt, EngineNaive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, err := sv.Quote(g, s, tgt, EngineFast)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameQuoteBits(t, "ties", fast, naive)
+			if !slices.Equal(sp.NodeDijkstra(g, s, nil).PathTo(tgt), fast.Path) {
+				differ++
+			}
+		}
+	}
+	if differ == 0 {
+		t.Fatal("no source took a path other than its source-tree path; the fixture exercises no ties")
 	}
 }
 

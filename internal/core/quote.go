@@ -148,12 +148,10 @@ func SetQuote(g *graph.NodeGraph, s, t int, avoid func(k int) []int) (*Quote, er
 	if s == t {
 		return nil, fmt.Errorf("core: source and target are both %d", s)
 	}
-	treeS := sp.NodeDijkstra(g, s, nil)
-	if !treeS.Reachable(t) {
+	path, cost := leastCostPath(g, s, t)
+	if path == nil {
 		return nil, ErrNoPath
 	}
-	path := treeS.PathTo(t)
-	cost := treeS.Dist[t]
 	q := &Quote{Source: s, Target: t, Path: path, Cost: cost, Payments: make(map[int]float64)}
 
 	onPath := make([]bool, g.N())
@@ -198,6 +196,19 @@ func SetQuote(g *graph.NodeGraph, s, t int, avoid func(k int) []int) (*Quote, er
 		}
 	}
 	return q, nil
+}
+
+// leastCostPath returns s's least cost path toward t and its cost,
+// or nil when t is unreachable, under Solver.QuoteIntoToward's tie
+// rule: on exact costs s's chain of next hops in the tree rooted at
+// t, otherwise s's tree path in its own source tree.
+func leastCostPath(g *graph.NodeGraph, s, t int) ([]int, float64) {
+	if _, exact := g.CostQuantum(); exact {
+		tree := sp.NodeDijkstra(g, t, nil)
+		return tree.RootPathInto(s, nil), tree.Dist[s]
+	}
+	tree := sp.NodeDijkstra(g, s, nil)
+	return tree.PathTo(t), tree.Dist[t]
 }
 
 // NeighborhoodQuote runs the §III.E payment p̃ with Q(v_k) = the

@@ -126,27 +126,37 @@ func (sv *Solver) QuoteInto(q *Quote, g *graph.NodeGraph, s, t int, engine Engin
 	return sv.QuoteIntoToward(q, g, s, t, engine, nil)
 }
 
-// DestTable returns toward[v] = dist(v, t) for every node v of g: the
-// destination-rooted table Algorithm 1 reads as R(v). It is built by
-// the same pooled Dijkstra run QuoteInto makes for each fast quote,
-// so QuoteIntoToward with this table is bit-identical to QuoteInto in
-// every cost regime. The table depends only on g's costs and t; a
-// caller quoting many sources toward one target on one cost vector
-// builds it once and shares it (it is never written after return).
-func (sv *Solver) DestTable(g *graph.NodeGraph, t int) []float64 {
+// DestTable returns the least-cost-path tree rooted at t: Dist[v] =
+// dist(v, t), the table Algorithm 1 reads as R(v), and Parent[v] = v's
+// next hop toward t, the tree every node-model engine routes along on
+// exact costs (see QuoteIntoToward). Order is left nil. It is built
+// by the same pooled Dijkstra run QuoteInto makes, so QuoteIntoToward
+// with this table is bit-identical to QuoteInto in every cost regime.
+// The table depends only on g's costs and t; a caller quoting many
+// sources toward one target on one cost vector builds it once and
+// shares it (it is never written after return).
+func (sv *Solver) DestTable(g *graph.NodeGraph, t int) *sp.Tree {
 	w := sv.acquire(g.N())
 	defer sv.release(w)
-	return slices.Clone(w.wsT.NodeDijkstra(g, t, nil).Dist)
+	tree := w.wsT.NodeDijkstra(g, t, nil)
+	return &sp.Tree{Src: t, Dist: slices.Clone(tree.Dist), Parent: slices.Clone(tree.Parent)}
 }
 
-// QuoteIntoToward is QuoteInto with the fast engine's destination
-// table supplied by the caller: toward must be DestTable(g, t) on the
-// same cost vector, or nil to have it computed here exactly as
-// QuoteInto does. The naive engine never reads it. With a shared
-// table a fast quote costs one source Dijkstra plus Algorithm 1.
+// QuoteIntoToward is QuoteInto with the destination tree supplied by
+// the caller: toward must be DestTable(g, t) on the same cost vector,
+// or nil to have it computed here exactly as QuoteInto does.
+//
+// The path follows one tie rule. When g.CostQuantum negotiates, every
+// path sum is exact and the path is s's chain of next hops in the tree
+// rooted at t — the tree AllUnicastQuotes builds, parent for parent —
+// so both engines and the batch engine agree on path, cost and every
+// payment bit for bit. Algorithm 1 runs on that path unchanged even
+// where it is not s's path in its own source tree (see
+// fastReplacement). On continuous costs the path is s's tree path in
+// its own source tree, and only the fast engine reads toward.
 //
 //lint:noalloc the serving miss path: a quote on a shared destination table must not touch the heap
-func (sv *Solver) QuoteIntoToward(q *Quote, g *graph.NodeGraph, s, t int, engine Engine, toward []float64) error {
+func (sv *Solver) QuoteIntoToward(q *Quote, g *graph.NodeGraph, s, t int, engine Engine, toward *sp.Tree) error {
 	if s == t {
 		return errSameEndpoint(s)
 	}
@@ -157,22 +167,40 @@ func (sv *Solver) QuoteIntoToward(q *Quote, g *graph.NodeGraph, s, t int, engine
 	}
 	w := sv.acquire(g.N())
 	defer sv.release(w)
-	treeS := w.wsS.NodeDijkstra(g, s, nil)
-	if !treeS.Reachable(t) {
-		return ErrNoPath
+	var treeS *sp.Tree
+	var cost float64
+	if _, exact := g.CostQuantum(); exact {
+		if toward == nil {
+			toward = w.wsT.NodeDijkstra(g, t, nil)
+		}
+		if !toward.Reachable(s) {
+			return ErrNoPath
+		}
+		w.pathBuf = toward.RootPathInto(s, w.pathBuf)
+		cost = toward.Dist[s]
+		if engine == EngineFast && len(w.pathBuf) > 2 {
+			treeS = w.wsS.NodeDijkstra(g, s, nil)
+		}
+	} else {
+		treeS = w.wsS.NodeDijkstra(g, s, nil)
+		if !treeS.Reachable(t) {
+			return ErrNoPath
+		}
+		w.pathBuf = treeS.PathInto(t, w.pathBuf)
+		cost = treeS.Dist[t]
+		if engine == EngineFast && toward == nil && len(w.pathBuf) > 2 {
+			toward = w.wsT.NodeDijkstra(g, t, nil)
+		}
 	}
-	w.pathBuf = treeS.PathInto(t, w.pathBuf)
 	path := w.pathBuf
-	cost := treeS.Dist[t]
 
 	switch engine {
 	case EngineNaive:
 		w.naiveReplacement(g, s, t, path)
 	case EngineFast:
-		if toward == nil && len(path) > 2 {
-			toward = w.wsT.NodeDijkstra(g, t, nil).Dist
+		if len(path) > 2 {
+			w.fastReplacement(g, s, t, treeS, toward.Dist, path)
 		}
-		w.fastReplacement(g, s, t, treeS, toward, path)
 	default:
 		return errUnknownEngine(engine)
 	}

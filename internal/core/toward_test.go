@@ -80,8 +80,9 @@ func TestQuoteIntoTowardBitIdentical(t *testing.T) {
 		dest int
 	}{{"quarter", quarter, qap}, {"continuous", continuous, cAP}} {
 		table := sv.DestTable(fx.g, fx.dest)
-		if len(table) != fx.g.N() || table[fx.dest] != 0 {
-			t.Fatalf("%s: DestTable has %d entries, self-distance %v", fx.name, len(table), table[fx.dest])
+		if len(table.Dist) != fx.g.N() || table.Dist[fx.dest] != 0 || table.Parent[fx.dest] != -1 {
+			t.Fatalf("%s: DestTable has %d entries, self-distance %v, root parent %d",
+				fx.name, len(table.Dist), table.Dist[fx.dest], table.Parent[fx.dest])
 		}
 		compared := 0
 		for _, engine := range []Engine{EngineFast, EngineNaive} {

@@ -64,7 +64,7 @@ func (r *refHeap) decrease(id int, p float64) {
 }
 
 // TestDifferentialAgainstContainerHeap drives every frontier
-// implementation (binary, pairing, bucket) with the same seeded
+// implementation (binary, bucket) with the same seeded
 // random decrease-key workload and demands pop-for-pop agreement with
 // the container/heap referee. The workload is monotone and quantized
 // — priorities are multiples of 1/scale and never fall below the last
@@ -83,9 +83,8 @@ func TestDifferentialAgainstContainerHeap(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, 99))
 			ref := newRefHeap(capSize)
 			uut := map[string]Queue{
-				"binary":  NewBinary(capSize),
-				"pairing": NewPairing(capSize),
-				"bucket":  NewBucket(capSize, scale, span),
+				"binary": NewBinary(capSize),
+				"bucket": NewBucket(capSize, scale, span),
 			}
 			floor := 0.0 // last popped priority: the monotone frontier
 			queued := make(map[int]bool)

@@ -2,7 +2,7 @@
 // priorities, specialized for shortest-path computations where items
 // are small non-negative integer ids (graph vertices or edges).
 //
-// Three implementations share the Queue interface:
+// Two implementations share the Queue interface:
 //
 //   - Binary: a classic array-backed binary heap. O(log n) per
 //     operation, allocation-free after construction, and the default
@@ -13,22 +13,12 @@
 //     comparisons; only usable when priorities are quantized and the
 //     consumer is monotone (Dijkstra), which sp.Workspace checks
 //     before engaging it.
-//   - Pairing: a pointer-based pairing heap with amortized o(log n)
-//     DecreaseKey. Demoted to oracle-only duty: every benchmark we
-//     have run shows it strictly worse than Binary on this workload
-//     (~1.6× slower and thousands of allocs/op from its node pool
-//     churn, see BENCH_payments.json history), because Dijkstra on
-//     sparse graphs does few DecreaseKeys relative to Pops and the
-//     pointer chasing defeats the cache. It stays in the tree as an
-//     independently derived implementation for the cross-engine
-//     differential oracle — agreement between structurally unrelated
-//     heaps is evidence the tie-break contract, not the data
-//     structure, determines output — but it is not benchmarked on the
-//     default path and must not be wired into production solvers.
+//
+// The tests referee both against an independent container/heap
+// implementation of the same (priority, id) order.
 package pq
 
-// Queue is the common interface implemented by Binary, Bucket, and
-// Pairing.
+// Queue is the common interface implemented by Binary and Bucket.
 // Items are dense integer ids in [0, capacity). Each id may be in the
 // queue at most once.
 type Queue interface {

@@ -9,8 +9,7 @@ import (
 
 // implementations under test, constructed fresh per case.
 var makers = map[string]func(cap int) Queue{
-	"binary":  func(c int) Queue { return NewBinary(c) },
-	"pairing": func(c int) Queue { return NewPairing(c) },
+	"binary": func(c int) Queue { return NewBinary(c) },
 	// The shared cases all use integer priorities no more than 64
 	// apart at any moment, which is inside the bucket regime.
 	"bucket": func(c int) Queue { return NewBucket(c, 1, 64) },
@@ -150,14 +149,16 @@ func TestPanics(t *testing.T) {
 	}
 }
 
-// TestQuickHeapsAgree drives both heaps with the same random
-// operation sequence and checks they stay observationally identical.
+// TestQuickHeapsAgree drives the binary heap and the container/heap
+// referee with the same random operation sequence — arbitrary
+// priorities and decrease-keys, outside the bucket's monotone,
+// quantized regime — and checks they stay observationally identical.
 func TestQuickHeapsAgree(t *testing.T) {
 	f := func(seed uint64, opsRaw []byte) bool {
 		const capSize = 32
 		rng := rand.New(rand.NewPCG(seed, 0))
 		b := NewBinary(capSize)
-		p := NewPairing(capSize)
+		ref := newRefHeap(capSize)
 		in := make(map[int]bool)
 		for _, opByte := range opsRaw {
 			switch op := opByte % 3; op {
@@ -168,16 +169,16 @@ func TestQuickHeapsAgree(t *testing.T) {
 				}
 				pr := float64(rng.IntN(1000)) / 7
 				b.Push(id, pr)
-				p.Push(id, pr)
+				ref.push(id, pr)
 				in[id] = true
 			case 1: // pop
 				if len(in) == 0 {
 					continue
 				}
 				bi, bp := b.Pop()
-				pi, pp := p.Pop()
-				if bi != pi || bp != pp {
-					t.Logf("pop mismatch: binary (%d,%v) pairing (%d,%v)", bi, bp, pi, pp)
+				ri, rp := ref.pop()
+				if bi != ri || bp != rp {
+					t.Logf("pop mismatch: binary (%d,%v) container/heap (%d,%v)", bi, bp, ri, rp)
 					return false
 				}
 				delete(in, bi)
@@ -192,23 +193,23 @@ func TestQuickHeapsAgree(t *testing.T) {
 				}
 				np := b.Priority(id) * (float64(rng.IntN(100)) / 100)
 				b.DecreaseKey(id, np)
-				p.DecreaseKey(id, np)
+				ref.decrease(id, np)
 			}
-			if b.Len() != p.Len() {
-				t.Logf("len mismatch: %d vs %d", b.Len(), p.Len())
+			if b.Len() != ref.Len() {
+				t.Logf("len mismatch: %d vs %d", b.Len(), ref.Len())
 				return false
 			}
 		}
 		// Drain and compare the remainder.
 		for b.Len() > 0 {
 			bi, bp := b.Pop()
-			pi, pp := p.Pop()
-			if bi != pi || bp != pp {
-				t.Logf("drain mismatch: binary (%d,%v) pairing (%d,%v)", bi, bp, pi, pp)
+			ri, rp := ref.pop()
+			if bi != ri || bp != rp {
+				t.Logf("drain mismatch: binary (%d,%v) container/heap (%d,%v)", bi, bp, ri, rp)
 				return false
 			}
 		}
-		return p.Len() == 0
+		return ref.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -233,5 +234,4 @@ func benchHeapsort(b *testing.B, mk func(int) Queue, n int) {
 	}
 }
 
-func BenchmarkBinaryHeapsort4096(b *testing.B)  { benchHeapsort(b, makers["binary"], 4096) }
-func BenchmarkPairingHeapsort4096(b *testing.B) { benchHeapsort(b, makers["pairing"], 4096) }
+func BenchmarkBinaryHeapsort4096(b *testing.B) { benchHeapsort(b, makers["binary"], 4096) }

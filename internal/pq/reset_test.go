@@ -33,8 +33,7 @@ func testReset(t *testing.T, q Queue) {
 	}
 }
 
-func TestBinaryReset(t *testing.T)  { testReset(t, NewBinary(10)) }
-func TestPairingReset(t *testing.T) { testReset(t, NewPairing(10)) }
+func TestBinaryReset(t *testing.T) { testReset(t, NewBinary(10)) }
 
 // The reset exercise uses half-integer priorities, so the bucket runs
 // it at scale 2 (quantum 1/2).

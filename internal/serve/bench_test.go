@@ -53,9 +53,10 @@ func BenchmarkServeQuoteCached(b *testing.B) {
 }
 
 // BenchmarkServeQuoteCold measures the uncached path: every request
-// lands on a fresh epoch, so the shard rebuilds the destination table
-// and fills the quote memo — the cost an update storm imposes on the
-// first reader toward each target.
+// lands on a fresh epoch, so the shard rebuilds its table toward the
+// target (on these continuous costs a destination tree) and fills the
+// quote memo — the cost an update storm imposes on the first reader
+// toward each target.
 func BenchmarkServeQuoteCold(b *testing.B) {
 	s := benchServer(b, 64)
 	b.ReportAllocs()

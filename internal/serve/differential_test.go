@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"testing"
@@ -21,6 +22,21 @@ import (
 // epoch's costs fails the byte comparison, so zero mismatches also
 // means zero mixed-epoch responses.
 func TestServeDifferentialVsSolver(t *testing.T) {
+	serveDifferential(t, func(c float64) float64 { return c })
+}
+
+// TestServeDifferentialQuantized is the same oracle on costs snapped
+// to quarter units, where every path sum is exact: fast misses are
+// served from the epoch's all-sources table and naive misses route
+// along the destination tree, and both must still match the direct
+// solver byte for byte, across shards and epoch flips.
+func TestServeDifferentialQuantized(t *testing.T) {
+	serveDifferential(t, func(c float64) float64 { return math.Round(c*4) / 4 })
+}
+
+// serveDifferential runs the differential with every declared cost,
+// initial and updated, passed through snap.
+func serveDifferential(t *testing.T, snap func(float64) float64) {
 	const topologies = 200
 	sv := core.NewSolver()
 	mismatches := 0
@@ -35,6 +51,9 @@ func TestServeDifferentialVsSolver(t *testing.T) {
 			g = graph.RandomBiconnected(n, 0.1+0.3*rng.Float64(), rng)
 		}
 		g.RandomizeCosts(0.5, 8, rng)
+		for v := 0; v < n; v++ {
+			g.SetCost(v, snap(g.Cost(v)))
+		}
 
 		s := New(g, Config{})
 		// costsAt[e] is the full global cost vector under epoch e.
@@ -57,13 +76,13 @@ func TestServeDifferentialVsSolver(t *testing.T) {
 				var batch []CostUpdate
 				for v := 0; v < n; v++ {
 					if rng.IntN(3) == 0 {
-						c := 0.5 + 7.5*rng.Float64()
+						c := snap(0.5 + 7.5*rng.Float64())
 						next[v] = c
 						batch = append(batch, CostUpdate{Node: v, Cost: c})
 					}
 				}
 				if len(batch) == 0 {
-					batch = []CostUpdate{{Node: rng.IntN(n), Cost: 1 + rng.Float64()}}
+					batch = []CostUpdate{{Node: rng.IntN(n), Cost: snap(1 + rng.Float64())}}
 					next[batch[0].Node] = batch[0].Cost
 				}
 				// Ensure every shard is touched so all epochs advance

@@ -20,12 +20,15 @@ var (
 	obsUpdatesApplied = obs.NewCounter("serve.cost_updates_applied")
 	// obsCacheHits/Misses split HTTP quote lookups by whether the
 	// epoch's memo (shared with the binary plane) already held the
-	// response; obsDestTables counts destination-table builds, one
-	// per target quoted with the fast engine per epoch (a lost
-	// concurrent build race counts too).
+	// response; obsDestTables counts per-(epoch, target) table builds
+	// of either kind, an all-sources quote table or a destination tree
+	// (a lost concurrent build race counts too), and obsDestTableNS
+	// their build time: the first miss toward a target in an epoch
+	// pays it on top of its own quote.
 	obsCacheHits   = obs.NewCounter("serve.quote_cache_hits")
 	obsCacheMisses = obs.NewCounter("serve.quote_cache_misses")
 	obsDestTables  = obs.NewCounter("serve.dest_tables_built")
+	obsDestTableNS = obs.NewHistogram("serve.dest_table_build_ns", obs.LatencyBuckets())
 	// obsDrains counts completed graceful drains.
 	obsDrains = obs.NewCounter("serve.drains")
 

@@ -159,8 +159,9 @@ func TestQuoteCacheServesIdenticalBytes(t *testing.T) {
 		t.Errorf("cache hits/misses = %d/%d, want 1/1",
 			snap.Counters["serve.quote_cache_hits"], snap.Counters["serve.quote_cache_misses"])
 	}
-	// One destination table toward 3 was built and reused, here by a
-	// second source in the same epoch.
+	// One all-sources table toward 3 (integer costs are exact) was
+	// built, timed and reused, here by a second source in the same
+	// epoch.
 	if rec := doReq(t, s, "GET", "/quote?src=1&dst=3", ""); rec.Code != http.StatusOK {
 		t.Fatalf("second source: status %d", rec.Code)
 	}
@@ -168,7 +169,13 @@ func TestQuoteCacheServesIdenticalBytes(t *testing.T) {
 	if got := snap.Counters["serve.dest_tables_built"]; got != 1 {
 		t.Errorf("dest_tables_built = %d, want 1", got)
 	}
-	// The naive engine reads no destination table, so it builds none.
+	if got := snap.Counters["core.allsources_solves"]; got != 1 {
+		t.Errorf("core.allsources_solves = %d, want 1", got)
+	}
+	if h := snap.Histograms["serve.dest_table_build_ns"]; h.Count != 1 {
+		t.Errorf("dest_table_build_ns count = %d, want 1", h.Count)
+	}
+	// The naive engine reads no table, so it builds none.
 	obs.Reset()
 	for i := 0; i < 2; i++ {
 		if rec := doReq(t, s, "GET", "/quote?src=0&dst=2&engine=naive", ""); rec.Code != http.StatusOK {

@@ -3,10 +3,12 @@ package serve
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"truthroute/internal/core"
 	"truthroute/internal/graph"
 	"truthroute/internal/obs"
+	"truthroute/internal/sp"
 )
 
 // CostUpdate is one declared-cost change inside an update batch.
@@ -53,8 +55,10 @@ type snapshot struct {
 
 // nodeCache holds one local node's lazily built state for the
 // lifetime of a snapshot: the memo of quotes served with the node as
-// source, and the fast engine's destination table with the node as
-// target.
+// source, and the fast engine's table with the node as target. The
+// table is built by the first fast miss toward the node and shared by
+// every later one in the epoch, since it depends only on the epoch's
+// costs and the target.
 type nodeCache struct {
 	// memo maps the int64 key engine<<32|target to the pre-serialized
 	// binary KindQuoteResp payload: shard id, epoch, then the quote
@@ -62,12 +66,15 @@ type nodeCache struct {
 	// both planes serve one allocation per key per epoch and their
 	// byte identity holds by construction.
 	memo sync.Map
-	// toward is dist(v, node) for every local v — the table Algorithm
-	// 1 reads as R(v). It depends only on the epoch's costs and the
-	// target, so the first fast miss toward the node builds it and
-	// every later miss toward it in the epoch shares it: 8n bytes per
-	// quoted target per epoch.
-	toward atomic.Pointer[[]float64]
+	// all holds every local source's fast quote toward the node, from
+	// one core.AllUnicastQuotes pass. Fast misses read it on epochs
+	// whose costs are exact (graph.CostQuantum negotiates), where the
+	// pass equals core.Solver's fast quote bit for bit.
+	all atomic.Pointer[[]*core.Quote]
+	// toward is the destination tree rooted at the node
+	// (core.Solver.DestTable, 16n bytes), whose distances Algorithm 1
+	// reads as R(v). Fast misses read it on continuous-cost epochs.
+	toward atomic.Pointer[sp.Tree]
 }
 
 func newSnapshot(epoch uint64, g *graph.NodeGraph) *snapshot {
@@ -136,23 +143,53 @@ func (sh *shard) stop() {
 	<-sh.done
 }
 
-// toward returns the snapshot's destination table toward local
-// target lt, building it on first use. Concurrent builders race
-// benignly: both run the same deterministic Dijkstra and the losing
+// table returns the table behind p, building and publishing it on
+// first use. Concurrent builders race benignly: both run the same
+// deterministic computation on the same epoch and the losing
 // CompareAndSwap discards its copy, mirroring graph.CSR's build race.
 //
 //lint:writer racing builders compute the same deterministic table; the CAS loser discards its copy unpublished
-func (sh *shard) toward(snap *snapshot, lt int) []float64 {
-	nc := &snap.node[lt]
-	if d := nc.toward.Load(); d != nil {
-		return *d
+func table[T any](p *atomic.Pointer[T], build func() *T) *T {
+	if v := p.Load(); v != nil {
+		return v
 	}
+	//lint:allow determinism wall clock feeds only the obs build-time histogram, never quote output
+	began := time.Now()
+	v := build()
 	obsDestTables.Inc()
-	d := sh.solver.DestTable(snap.g, lt)
-	if nc.toward.CompareAndSwap(nil, &d) {
-		return d
+	//lint:allow determinism wall clock feeds only the obs build-time histogram, never quote output
+	obsDestTableNS.Observe(float64(time.Since(began).Nanoseconds()))
+	if p.CompareAndSwap(nil, v) {
+		return v
 	}
-	return *nc.toward.Load()
+	return p.Load()
+}
+
+// localQuote computes the shard-local quote for (ls, lt) on snap. A
+// fast quote on exact costs is ls's entry of the epoch's all-sources
+// table toward lt; a fast quote on continuous costs is one
+// QuoteIntoToward run on the epoch's destination tree toward lt; a
+// naive quote reads no table.
+func (sh *shard) localQuote(snap *snapshot, ls, lt int, engine core.Engine) (*core.Quote, error) {
+	var toward *sp.Tree
+	if engine == core.EngineFast {
+		nc := &snap.node[lt]
+		if _, exact := snap.g.CostQuantum(); exact {
+			all := table(&nc.all, func() *[]*core.Quote {
+				all := core.AllUnicastQuotes(snap.g, lt)
+				return &all
+			})
+			// A shard is one connected component, so every source
+			// other than lt has an entry.
+			return (*all)[ls], nil
+		}
+		toward = table(&nc.toward, func() *sp.Tree { return sh.solver.DestTable(snap.g, lt) })
+	}
+	q := new(core.Quote)
+	if err := sh.solver.QuoteIntoToward(q, snap.g, ls, lt, engine, toward); err != nil {
+		return nil, err
+	}
+	return q, nil
 }
 
 // quote serves the marshalled global-id quote JSON for (ls, lt) on
@@ -196,10 +233,9 @@ func (sh *shard) payload(snap *snapshot, ls, lt int, engine core.Engine, hits, m
 }
 
 // fill runs the mechanism on the first request for a key in an epoch
-// and publishes the payload. The quote is one source Dijkstra plus
-// Algorithm 1 on the epoch's shared destination table (the naive
-// engine reads no table, so none is built for it). Local ids are
-// remapped to global ones; the remapping is monotone (globals is
+// and publishes the payload. The quote comes from localQuote, which
+// shares one table toward the target across the epoch's misses. Local
+// ids are remapped to global ones; the remapping is monotone (globals is
 // increasing), so the served path and payments are bit-identical to
 // a direct core.Solver run on the full topology — the property the
 // differential harness asserts.
@@ -211,12 +247,8 @@ func (sh *shard) payload(snap *snapshot, ls, lt int, engine core.Engine, hits, m
 //
 //go:noinline
 func (sh *shard) fill(snap *snapshot, memo *sync.Map, ls, lt int, engine core.Engine, key int64) ([]byte, error) {
-	var toward []float64
-	if engine == core.EngineFast {
-		toward = sh.toward(snap, lt)
-	}
-	var local core.Quote
-	if err := sh.solver.QuoteIntoToward(&local, snap.g, ls, lt, engine, toward); err != nil {
+	local, err := sh.localQuote(snap, ls, lt, engine)
+	if err != nil {
 		return nil, err
 	}
 	global := core.Quote{

@@ -45,6 +45,28 @@ func (t *Tree) PathTo(v int) []int {
 // second, so there is no append-growing and no reversal pass: a
 // caller that recycles buf reconstructs paths with zero allocations.
 func (t *Tree) PathInto(v int, buf []int) []int {
+	buf = t.sized(v, buf)
+	for u, i := v, len(buf)-1; i >= 0; u, i = t.Parent[u], i-1 {
+		buf[i] = u
+	}
+	return buf
+}
+
+// RootPathInto is PathInto written the other way round: v first, the
+// root last. In a tree rooted at a target t that is v's chain of next
+// hops toward t, the least cost path every node-model engine routes
+// along when costs are exact (see core.Solver.QuoteIntoToward).
+func (t *Tree) RootPathInto(v int, buf []int) []int {
+	buf = t.sized(v, buf)
+	for u, i := v, 0; i < len(buf); u, i = t.Parent[u], i+1 {
+		buf[i] = u
+	}
+	return buf
+}
+
+// sized returns buf resized to the node count of the tree path between
+// the root and v, or nil when v is unreachable.
+func (t *Tree) sized(v int, buf []int) []int {
 	if v != t.Src && (v < 0 || t.Parent[v] < 0) {
 		return nil
 	}
@@ -56,16 +78,9 @@ func (t *Tree) PathInto(v int, buf []int) []int {
 		}
 	}
 	if cap(buf) < depth {
-		buf = make([]int, depth)
-	} else {
-		buf = buf[:depth]
+		return make([]int, depth)
 	}
-	for u, i := v, depth-1; ; u, i = t.Parent[u], i-1 {
-		buf[i] = u
-		if i == 0 {
-			return buf
-		}
-	}
+	return buf[:depth]
 }
 
 // Reachable reports whether v is reachable from the root.

@@ -3,6 +3,7 @@ package sp
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"truthroute/internal/graph"
@@ -107,6 +108,11 @@ func TestPathIntoMatchesPathTo(t *testing.T) {
 			}
 			if !reflect.DeepEqual(buf, want) {
 				t.Fatalf("node %d: PathInto %v, want %v", v, buf, want)
+			}
+			// RootPathInto is the same path read from v to the root.
+			slices.Reverse(want)
+			if got := tree.RootPathInto(v, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("node %d: RootPathInto %v, want %v", v, got, want)
 			}
 		}
 	}

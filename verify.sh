@@ -126,7 +126,8 @@ stage_race() (
 stage_bench() (
     # ns/op regression gate: the bucket-frontier Dijkstra, the
     # fast-engine payment path, the all-sources engines, the serving
-    # memo miss and the socket-free binary frame path are held to
+    # memo miss, an epoch's first miss and the socket-free binary
+    # frame path are held to
     # within 15% of the committed BENCH_payments.json baseline,
     # which must come from the same host (the gate prints both host
     # stamps when they differ). -count=3 with
@@ -135,7 +136,7 @@ stage_bench() (
     # GATETIME trades gate fidelity for speed.
     set -x
     go run ./cmd/benchreport -pkg ./... \
-        -bench 'BenchmarkDijkstraBucket$|BenchmarkPaymentFast|BenchmarkAllSources(Link|Node)UDG300$|BenchmarkServeQuoteMissUDG300$|BenchmarkServeBinaryQuoteFrame$' \
+        -bench 'BenchmarkDijkstraBucket$|BenchmarkPaymentFast|BenchmarkAllSources(Link|Node)UDG300$|BenchmarkServeQuoteMissUDG300$|BenchmarkServeEpochFirstMissUDG300$|BenchmarkServeBinaryQuoteFrame$' \
         -benchtime "${GATETIME:-0.3s}" -count 3 \
         -out /tmp/bench_gate.json -baseline BENCH_payments.json
     # Artifact regen: ns/op, B/op, allocs/op for the whole contracted
@@ -152,15 +153,17 @@ stage_serve() {
     # tests, forced fresh (-count=1): the differential suite (every
     # served quote byte-identical to a direct solver run on the
     # response's epoch) plain and under the race detector, plus the
-    # allocation gates on the shard compute path and the memo miss and
-    # the destination-table build race under -race. Then a
+    # allocation gates on the shard compute path and the memo miss,
+    # then the quantized differential and the all-sources table build
+    # race under -race (the race test ten times over). Then a
     # real daemon serves a netgen topology over TCP, survives a short
     # quoteload smoke with zero transport errors, and drains cleanly
     # on SIGTERM.
     ( set -x
       go test ./internal/serve/ -count=1
       go test ./internal/serve/ -race -count=1 \
-        -run 'TestServeDifferentialVsSolver|TestServeSnapshotConsistencyUnderRace|TestServeCrashMidBatchRestart|TestDestTableBuildRace' )
+        -run 'TestServeDifferentialVsSolver|TestServeDifferentialQuantized|TestServeSnapshotConsistencyUnderRace|TestServeCrashMidBatchRestart'
+      go test ./internal/serve/ -race -count=10 -run 'TestAllSourcesTableBuildRace' )
 
     tmp=$(mktemp -d)
     daemon=""
