@@ -75,19 +75,20 @@ func stampHost() HostStamp {
 // a Benchmark* function in the repo neither matches this pattern nor
 // appears in its reasoned exclusion list, so additions here and there
 // stay in lockstep.
-const DefaultBenchPattern = "BenchmarkPayment|BenchmarkDijkstra|BenchmarkReplacement|BenchmarkAllSources|BenchmarkDistributedProtocol|BenchmarkProtocolUnder|BenchmarkEdgePayment|BenchmarkServe|BenchmarkServeBinaryQuote"
+const DefaultBenchPattern = "BenchmarkPayment|BenchmarkDijkstra|BenchmarkReplacement|BenchmarkAllSources|BenchmarkDistributedProtocol|BenchmarkProtocolUnder|BenchmarkEdgePayment|BenchmarkServe|BenchmarkServeBinaryQuote|BenchmarkDeploymentGraphs"
 
 // DefaultGatePattern selects the benchmarks the -baseline regression
 // gate holds to the -regress bound: the bucket-frontier Dijkstra, the
 // fast-engine payment path, the all-sources engines on a paper-scale
 // UDG, the serving memo miss and an epoch's first miss on the same
-// UDG shape, and the socket-free binary frame path — the hot loops this repo's
+// UDG shape, the socket-free binary frame path, and the construction
+// of a paper-scale deployment's graphs — the hot loops this repo's
 // performance contract is written against.
 // Deliberately narrow — protocol, figure, and socket-bound benchmarks
 // are too noisy for a hard ns/op gate (BenchmarkServeBinaryQuoteFrame
 // gates the binary plane precisely because it excludes the kernel and
 // goroutine handoff).
-const DefaultGatePattern = "^BenchmarkDijkstraBucket$|^BenchmarkPaymentFast|^BenchmarkAllSources(Link|Node)UDG300$|^BenchmarkServeQuoteMissUDG300$|^BenchmarkServeEpochFirstMissUDG300$|^BenchmarkServeBinaryQuoteFrame$"
+const DefaultGatePattern = "^BenchmarkDijkstraBucket$|^BenchmarkPaymentFast|^BenchmarkAllSources(Link|Node)UDG300$|^BenchmarkServeQuoteMissUDG300$|^BenchmarkServeEpochFirstMissUDG300$|^BenchmarkServeBinaryQuoteFrame$|^BenchmarkDeploymentGraphsUDG300$"
 
 // RunBenchReport runs the payment/Dijkstra/protocol benchmark suite
 // under -benchmem and writes the parsed results as JSON — the harness

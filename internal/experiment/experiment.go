@@ -74,20 +74,23 @@ func Measure(quotes []*core.Quote, ownCost func(*core.Quote) float64) InstanceMe
 		if len(q.Path) >= 2 {
 			relayCost = q.Cost - ownCost(q)
 		}
-		switch {
-		case len(q.Path) <= 2 || relayCost <= 0 || q.Cost == 0:
+		if len(q.Path) <= 2 || relayCost <= 0 || q.Cost == 0 {
 			m.SkippedDirect++
-		case math.IsInf(q.Total(), 1):
-			m.SkippedMonopoly++
-		default:
-			r := q.Total() / relayCost
-			ior.Add(r)
-			tor.Add(q.Total(), relayCost)
-			iorFull.Add(q.Total() / q.Cost)
-			torFull.Add(q.Total(), q.Cost)
-			worst = math.Max(worst, r)
-			m.Sources++
+			continue
 		}
+		// Total allocates and sorts the payment keys; take it once.
+		total := q.Total()
+		if math.IsInf(total, 1) {
+			m.SkippedMonopoly++
+			continue
+		}
+		r := total / relayCost
+		ior.Add(r)
+		tor.Add(total, relayCost)
+		iorFull.Add(total / q.Cost)
+		torFull.Add(total, q.Cost)
+		worst = math.Max(worst, r)
+		m.Sources++
 	}
 	m.IOR = ior.Mean()
 	m.TOR = tor.Value()

@@ -88,12 +88,13 @@ func (g *NodeGraph) SetCosts(c []float64) {
 }
 
 // AddEdge inserts the undirected edge {u, v}. Self-loops and
-// duplicate edges are rejected.
+// duplicate edges are rejected. Adding a vertex's edges in increasing
+// neighbour order appends in O(1), with no search.
 func (g *NodeGraph) AddEdge(u, v int) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at %d", u))
 	}
-	if g.HasEdge(u, v) {
+	if a := g.adj[u]; len(a) > 0 && a[len(a)-1] >= v && g.HasEdge(u, v) {
 		panic(fmt.Sprintf("graph: duplicate edge {%d,%d}", u, v))
 	}
 	g.adj[u] = insertSorted(g.adj[u], v)
@@ -190,6 +191,9 @@ func (g *NodeGraph) PathCost(path []int) (float64, error) {
 }
 
 func insertSorted(a []int, v int) []int {
+	if len(a) == 0 || a[len(a)-1] < v {
+		return append(a, v)
+	}
 	i := sort.SearchInts(a, v)
 	a = append(a, 0)
 	copy(a[i+1:], a[i:])

@@ -57,6 +57,52 @@ func TestNodeGraphRemoveEdge(t *testing.T) {
 	}
 }
 
+// TestAddOrderIndependent: edges and arcs added in increasing order
+// (the O(1) append path) and in a shuffled order (the sorted insert)
+// give identical, sorted rows.
+func TestAddOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 8))
+	var es [][2]int
+	for u := 0; u < 40; u++ {
+		for v := u + 1; v < 40; v++ {
+			if rng.IntN(4) == 0 {
+				es = append(es, [2]int{u, v})
+			}
+		}
+	}
+	inOrder, shuffled := NewNodeGraph(40), NewNodeGraph(40)
+	lIn, lShuf := NewLinkGraph(40), NewLinkGraph(40)
+	for _, e := range es {
+		inOrder.AddEdge(e[0], e[1])
+		lIn.AddArc(e[0], e[1], float64(e[1]))
+	}
+	rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+	for _, e := range es {
+		shuffled.AddEdge(e[1], e[0])
+		lShuf.AddArc(e[0], e[1], float64(e[1]))
+	}
+	for v := 0; v < 40; v++ {
+		a, b := inOrder.Neighbors(v), shuffled.Neighbors(v)
+		if len(a) != len(b) {
+			t.Fatalf("node %d: %v vs %v", v, a, b)
+		}
+		for k := range a {
+			if a[k] != b[k] || (k > 0 && a[k] <= a[k-1]) {
+				t.Fatalf("node %d: %v vs %v", v, a, b)
+			}
+		}
+		x, y := lIn.Out(v), lShuf.Out(v)
+		if len(x) != len(y) {
+			t.Fatalf("arcs of %d: %v vs %v", v, x, y)
+		}
+		for k := range x {
+			if x[k] != y[k] || (k > 0 && x[k].To <= x[k-1].To) {
+				t.Fatalf("arcs of %d: %v vs %v", v, x, y)
+			}
+		}
+	}
+}
+
 func TestNodeGraphPanics(t *testing.T) {
 	mustPanic := func(desc string, f func()) {
 		t.Helper()
@@ -71,6 +117,7 @@ func TestNodeGraphPanics(t *testing.T) {
 	g.AddEdge(0, 1)
 	mustPanic("self loop", func() { g.AddEdge(2, 2) })
 	mustPanic("duplicate edge", func() { g.AddEdge(1, 0) })
+	mustPanic("duplicate edge on the append path", func() { g.AddEdge(0, 1) })
 	mustPanic("negative cost", func() { g.SetCost(0, -1) })
 	mustPanic("NaN cost", func() { g.SetCost(0, math.NaN()) })
 	mustPanic("SetCosts length", func() { g.SetCosts([]float64{1}) })

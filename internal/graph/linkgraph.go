@@ -40,7 +40,8 @@ func (g *LinkGraph) M() int {
 
 // AddArc inserts the directed arc u→v with weight w. Duplicate arcs
 // and self-loops are rejected; weights must be non-negative (they are
-// power costs) but may be +Inf to mean "out of range".
+// power costs) but may be +Inf to mean "out of range". Adding a node's
+// arcs in increasing head order appends in O(1), with no search.
 func (g *LinkGraph) AddArc(u, v int, w float64) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-arc at %d", u))
@@ -49,6 +50,10 @@ func (g *LinkGraph) AddArc(u, v int, w float64) {
 		panic(fmt.Sprintf("graph: invalid arc weight %v on %d->%d", w, u, v))
 	}
 	a := g.out[u]
+	if len(a) == 0 || a[len(a)-1].To < v {
+		g.out[u] = append(a, Arc{To: v, W: w})
+		return
+	}
 	i := sort.Search(len(a), func(i int) bool { return a[i].To >= v })
 	if i < len(a) && a[i].To == v {
 		panic(fmt.Sprintf("graph: duplicate arc %d->%d", u, v))

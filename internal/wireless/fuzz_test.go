@@ -10,9 +10,8 @@ import (
 // FuzzReadDeployment hardens the deployment parser against untrusted
 // input: arbitrary bytes must either fail cleanly or produce a
 // deployment that survives a marshal/parse round trip AND whose
-// derived graphs can be built without panicking — the parser's
-// validation (finite positions, non-negative ranges) is exactly what
-// the topology constructors rely on.
+// derived graphs build without panicking and match the all-pairs
+// reference builders (grid_test.go) exactly.
 func FuzzReadDeployment(f *testing.F) {
 	seed, _ := json.Marshal(PlaceUniform(8, 1000, 300, rand.New(rand.NewPCG(1, 2))))
 	f.Add(seed)
@@ -38,27 +37,12 @@ func FuzzReadDeployment(f *testing.F) {
 			t.Fatalf("round trip changed size: %d -> %d", d.N(), back.N())
 		}
 		// Every accepted deployment must be safe to build graphs
-		// from; cap the size so one fuzz exec stays cheap. UDG's
-		// contract requires a common range (it panics otherwise, by
-		// design), so only uniform-range deployments may call it —
-		// heterogeneous ones exercise LinkGraph instead.
-		if d.N() > 0 && d.N() <= 64 {
-			uniform := true
-			for i := 1; i < d.N(); i++ {
-				if d.Range[i] != d.Range[0] {
-					uniform = false
-					break
-				}
-			}
-			if uniform {
-				g := d.UDG()
-				if g.N() != d.N() {
-					t.Fatalf("UDG dropped nodes: %d -> %d", d.N(), g.N())
-				}
-				d.Gabriel() // both derive from the UDG, so they
-				d.RNG()     // share its common-range precondition
-			} else if g := d.LinkGraph(PathLoss{Kappa: 2}); g.N() != d.N() {
-				t.Fatalf("LinkGraph dropped nodes: %d -> %d", d.N(), g.N())
+		// from, and the grid builders must reproduce the all-pairs
+		// reference exactly; cap the size so one fuzz exec stays
+		// cheap.
+		if d.N() <= 64 {
+			if err := diffBuilders(d); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

@@ -20,16 +20,20 @@ import (
 // UDG: {u,v} is kept iff no witness w lies strictly inside the circle
 // with diameter uv. RNG ⊆ Gabriel ⊆ Delaunay, and Gabriel graphs
 // remain connected whenever the UDG is.
+//
+// Witnesses are drawn from the grid block around u (grid.go): a
+// witness lies within |uv| ≤ range of u up to rounding the cell slack
+// covers (DESIGN.md §16).
 func (d *Deployment) Gabriel() *graph.NodeGraph {
-	g := d.UDG()
+	g, cells := d.udg()
 	out := graph.NewNodeGraph(d.N())
 	for _, e := range g.Edges() {
 		u, v := e[0], e[1]
 		mid := Point{X: (d.Pos[u].X + d.Pos[v].X) / 2, Y: (d.Pos[u].Y + d.Pos[v].Y) / 2}
 		r := d.Pos[u].Dist(d.Pos[v]) / 2
 		blocked := false
-		for w := 0; w < d.N(); w++ {
-			if w == u || w == v {
+		for _, w := range cells.block(u) {
+			if int(w) == u || int(w) == v {
 				continue
 			}
 			if mid.Dist(d.Pos[w]) < r-1e-12 {
@@ -47,15 +51,18 @@ func (d *Deployment) Gabriel() *graph.NodeGraph {
 // RNG returns the relative neighbourhood graph intersected with the
 // UDG: {u,v} is kept iff no witness w is strictly closer to both
 // endpoints than they are to each other (the "lune" is empty).
+//
+// Witnesses are drawn from the grid block around u (grid.go): the
+// lune test itself requires Dist(u,w) < Dist(u,v) ≤ range.
 func (d *Deployment) RNG() *graph.NodeGraph {
-	g := d.UDG()
+	g, cells := d.udg()
 	out := graph.NewNodeGraph(d.N())
 	for _, e := range g.Edges() {
 		u, v := e[0], e[1]
 		duv := d.Pos[u].Dist(d.Pos[v])
 		blocked := false
-		for w := 0; w < d.N(); w++ {
-			if w == u || w == v {
+		for _, w := range cells.block(u) {
+			if int(w) == u || int(w) == v {
 				continue
 			}
 			if d.Pos[u].Dist(d.Pos[w]) < duv-1e-12 && d.Pos[v].Dist(d.Pos[w]) < duv-1e-12 {

@@ -136,13 +136,19 @@ func (m *AffinePower) String() string { return fmt.Sprintf("affine(kappa=%g)", m
 // the deployment under a cost model: the arc i→j exists iff j is
 // within i's transmission range, weighted by the model's cost for
 // node i on that link (§III.F: each node's type is its out-cost
-// vector).
+// vector). Candidates come from a grid of cells at least the largest
+// range wide (grid.go), in increasing head order.
 func (d *Deployment) LinkGraph(m CostModel) *graph.LinkGraph {
+	reach := math.Inf(-1)
+	for _, r := range d.Range {
+		reach = max(reach, r)
+	}
+	cells := newGrid(d.Pos, reach)
 	g := graph.NewLinkGraph(d.N())
 	for i := 0; i < d.N(); i++ {
-		for j := 0; j < d.N(); j++ {
-			if d.CanReach(i, j) {
-				g.AddArc(i, j, m.LinkCost(i, d.Pos[i].Dist(d.Pos[j])))
+		for _, j := range cells.block(i) {
+			if l := d.Pos[i].Dist(d.Pos[j]); int(j) != i && l <= d.Range[i] {
+				g.AddArc(i, int(j), m.LinkCost(i, l))
 			}
 		}
 	}
@@ -153,21 +159,35 @@ func (d *Deployment) LinkGraph(m CostModel) *graph.LinkGraph {
 // an edge iff the nodes are within each other's (common) range. It
 // panics if ranges are heterogeneous — use LinkGraph for those.
 func (d *Deployment) UDG() *graph.NodeGraph {
+	g, _ := d.udg()
+	return g
+}
+
+// udg builds the UDG and returns it with the grid it searched, which
+// the proximity graphs reuse for their witness search. Blocks are in
+// increasing order and i runs upwards, so every row is appended in
+// increasing neighbour order.
+func (d *Deployment) udg() (*graph.NodeGraph, *grid) {
+	var reach float64
+	if d.N() > 0 {
+		reach = d.Range[0]
+	}
 	for i := 1; i < d.N(); i++ {
 		//lint:allow floatcmp ranges are configured inputs compared verbatim, not arithmetic results
-		if d.Range[i] != d.Range[0] {
+		if d.Range[i] != reach {
 			panic("wireless: UDG requires a common transmission range")
 		}
 	}
+	cells := newGrid(d.Pos, reach)
 	g := graph.NewNodeGraph(d.N())
 	for i := 0; i < d.N(); i++ {
-		for j := i + 1; j < d.N(); j++ {
-			if d.Pos[i].Dist(d.Pos[j]) <= d.Range[0] {
-				g.AddEdge(i, j)
+		for _, j := range cells.block(i) {
+			if int(j) > i && d.Pos[i].Dist(d.Pos[j]) <= reach {
+				g.AddEdge(i, int(j))
 			}
 		}
 	}
-	return g
+	return g, cells
 }
 
 // NodeCostUDG builds the undirected node-weighted model of §II.B on

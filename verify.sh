@@ -126,8 +126,8 @@ stage_race() (
 stage_bench() (
     # ns/op regression gate: the bucket-frontier Dijkstra, the
     # fast-engine payment path, the all-sources engines, the serving
-    # memo miss, an epoch's first miss and the socket-free binary
-    # frame path are held to
+    # memo miss, an epoch's first miss, the socket-free binary
+    # frame path and a paper deployment's graph construction are held to
     # within 15% of the committed BENCH_payments.json baseline,
     # which must come from the same host (the gate prints both host
     # stamps when they differ). -count=3 with
@@ -136,7 +136,7 @@ stage_bench() (
     # GATETIME trades gate fidelity for speed.
     set -x
     go run ./cmd/benchreport -pkg ./... \
-        -bench 'BenchmarkDijkstraBucket$|BenchmarkPaymentFast|BenchmarkAllSources(Link|Node)UDG300$|BenchmarkServeQuoteMissUDG300$|BenchmarkServeEpochFirstMissUDG300$|BenchmarkServeBinaryQuoteFrame$' \
+        -bench 'BenchmarkDijkstraBucket$|BenchmarkPaymentFast|BenchmarkAllSources(Link|Node)UDG300$|BenchmarkServeQuoteMissUDG300$|BenchmarkServeEpochFirstMissUDG300$|BenchmarkServeBinaryQuoteFrame$|BenchmarkDeploymentGraphsUDG300$' \
         -benchtime "${GATETIME:-0.3s}" -count 3 \
         -out /tmp/bench_gate.json -baseline BENCH_payments.json
     # Artifact regen: ns/op, B/op, allocs/op for the whole contracted
