@@ -128,12 +128,16 @@ func RunPaytool(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	eng, err := core.ParseEngine(*engine)
+	if err != nil {
+		fmt.Fprintln(stderr, "paytool: -engine:", err)
+		return 2
+	}
 	if *edgePath != "" {
-		return runEdgePaytool(*edgePath, *source, *dest, *engine, *asJSON, stdout, stderr)
+		return runEdgePaytool(*edgePath, *source, *dest, eng, *asJSON, stdout, stderr)
 	}
 	var q *core.Quote
 	var ng *graph.NodeGraph
-	var err error
 	if *linkPath != "" {
 		var lg *graph.LinkGraph
 		lg, err = loadLinkGraph(*linkPath)
@@ -143,10 +147,6 @@ func RunPaytool(args []string, stdout, stderr io.Writer) int {
 	} else {
 		ng, err = loadNodeGraph(*nodePath)
 		if err == nil {
-			eng := core.EngineFast
-			if *engine == "naive" {
-				eng = core.EngineNaive
-			}
 			switch *scheme {
 			case "vcg":
 				q, err = core.UnicastQuote(ng, *source, *dest, eng)
@@ -193,7 +193,7 @@ func RunPaytool(args []string, stdout, stderr io.Writer) int {
 }
 
 // runEdgePaytool handles the edge-agent model branch.
-func runEdgePaytool(path string, source, dest int, engine string, asJSON bool, stdout, stderr io.Writer) int {
+func runEdgePaytool(path string, source, dest int, eng core.Engine, asJSON bool, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "paytool:", err)
@@ -205,10 +205,6 @@ func runEdgePaytool(path string, source, dest int, engine string, asJSON bool, s
 	if err != nil {
 		fmt.Fprintln(stderr, "paytool:", err)
 		return 1
-	}
-	eng := core.EngineFast
-	if engine == "naive" {
-		eng = core.EngineNaive
 	}
 	q, err := core.EdgeVCGQuote(ew, source, dest, eng)
 	if err != nil {

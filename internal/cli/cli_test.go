@@ -317,6 +317,35 @@ func TestPaytoolEdgeGraph(t *testing.T) {
 	}
 }
 
+// TestPaytoolUnknownEngine: a misspelled -engine is a usage error in
+// both the node and the edge model, not a silent fast-engine quote.
+func TestPaytoolUnknownEngine(t *testing.T) {
+	nodePath := writeGraphFile(t, graph.Figure2())
+	edge := graph.NewEdgeWeighted(2)
+	edge.AddEdge(0, 1, 1)
+	data, err := json.Marshal(edge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgePath := filepath.Join(t.TempDir(), "e.json")
+	if err := os.WriteFile(edgePath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []string{"-graph", "-edgegraph"} {
+		path := nodePath
+		if model == "-edgegraph" {
+			path = edgePath
+		}
+		var out, errOut strings.Builder
+		if code := RunPaytool([]string{model, path, "-source", "1", "-engine", "fsat"}, &out, &errOut); code != 2 {
+			t.Errorf("%s -engine fsat: exit %d, want 2 (stdout %q)", model, code, out.String())
+		}
+		if !strings.Contains(errOut.String(), `unknown engine "fsat"`) {
+			t.Errorf("%s -engine fsat: stderr %q does not name the engine", model, errOut.String())
+		}
+	}
+}
+
 func TestDisttraceSignedImpersonation(t *testing.T) {
 	var out, errOut strings.Builder
 	code := RunDisttrace([]string{"-fixture", "fig2", "-adversary", "impersonate:6:4", "-signed"}, &out, &errOut)

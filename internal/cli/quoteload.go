@@ -13,11 +13,11 @@ import (
 )
 
 // RunQuoteload load-tests a running truthrouted daemon with
-// deterministic seeded closed-loop workers (serve.RunLoad and
-// serve.RunLoadBinary) and prints achieved throughput and latency
-// percentiles. -proto selects the transport: http drives GET /quote,
-// binary drives the framed TCP protocol with per-worker connection
-// reuse and -pipeline requests in flight per connection. With -bench
+// deterministic seeded workers (serve.RunLoad) and prints achieved
+// throughput and latency percentiles. -proto selects the driver's
+// transport: http drives GET /quote, one request in flight per
+// worker; binary drives the framed TCP protocol with per-worker
+// connection reuse and -pipeline requests in flight. With -bench
 // it also emits a `go test -bench`-format line, so
 //
 //	quoteload -bench BenchmarkServeQuoteLoadHTTP ... | benchreport -input - -out -
@@ -73,8 +73,7 @@ func RunQuoteload(args []string, stdout, stderr io.Writer) int {
 		Pipeline: *pipeline,
 	}
 
-	var res *serve.LoadResult
-	var err error
+	var dial func() (serve.LoadTransport, error)
 	switch *proto {
 	case "http":
 		if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
@@ -96,7 +95,7 @@ func RunQuoteload(args []string, stdout, stderr io.Writer) int {
 			}
 			opt.N = h.Nodes
 		}
-		res, err = serve.RunLoad(serve.HTTPQuoteDo(client, base, *engine), opt)
+		dial = serve.HTTPQuoteDo(client, base)
 	case "binary":
 		if strings.Contains(base, "://") {
 			fmt.Fprintln(stderr, "quoteload: -proto binary takes a host:port address, not a URL")
@@ -116,10 +115,9 @@ func RunQuoteload(args []string, stdout, stderr io.Writer) int {
 			}
 			opt.N = int(info.Nodes)
 		}
-		res, err = serve.RunLoadBinary(func() (*serve.BinaryClient, error) {
-			return serve.DialBinary(base)
-		}, opt)
+		dial = serve.BinaryQuoteDo(base)
 	}
+	res, err := serve.RunLoad(dial, opt)
 	if err != nil {
 		fmt.Fprintln(stderr, "quoteload:", err)
 		return 1

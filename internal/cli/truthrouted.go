@@ -39,14 +39,9 @@ func RunTruthrouted(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "truthrouted: -topology is required")
 		return 2
 	}
-	var eng core.Engine
-	switch *engine {
-	case "fast":
-		eng = core.EngineFast
-	case "naive":
-		eng = core.EngineNaive
-	default:
-		fmt.Fprintln(stderr, "truthrouted: unknown -engine "+*engine)
+	eng, err := core.ParseEngine(*engine)
+	if err != nil {
+		fmt.Fprintln(stderr, "truthrouted: -engine:", err)
 		return 2
 	}
 	g, err := loadNodeGraph(*topo)
@@ -70,21 +65,13 @@ func RunTruthrouted(args []string, stdout, stderr io.Writer) int {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(stop)
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := listen(*addr, *addrFile)
 	if err != nil {
 		fmt.Fprintln(stderr, "truthrouted:", err)
 		return 1
 	}
-	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			fmt.Fprintln(stderr, "truthrouted:", err)
-			_ = ln.Close()
-			return 1
-		}
-	}
 	fmt.Fprintf(stdout, "truthrouted: serving %d nodes in %d shards on %s\n",
-		srv.N(), srv.NumShards(), bound)
+		srv.N(), srv.NumShards(), ln.Addr())
 
 	hs := &http.Server{Handler: srv}
 	errc := make(chan error, 1)
@@ -95,22 +82,13 @@ func RunTruthrouted(args []string, stdout, stderr io.Writer) int {
 	// binary listener is disabled.
 	var berrc chan error
 	if *binAddr != "" {
-		bln, err := net.Listen("tcp", *binAddr)
+		bln, err := listen(*binAddr, *binAddrFile)
 		if err != nil {
 			fmt.Fprintln(stderr, "truthrouted:", err)
 			_ = ln.Close()
 			return 1
 		}
-		bbound := bln.Addr().String()
-		if *binAddrFile != "" {
-			if err := os.WriteFile(*binAddrFile, []byte(bbound+"\n"), 0o644); err != nil {
-				fmt.Fprintln(stderr, "truthrouted:", err)
-				_ = ln.Close()
-				_ = bln.Close()
-				return 1
-			}
-		}
-		fmt.Fprintf(stdout, "truthrouted: binary quote protocol on %s\n", bbound)
+		fmt.Fprintf(stdout, "truthrouted: binary quote protocol on %s\n", bln.Addr())
 		berrc = make(chan error, 1)
 		go func() { berrc <- srv.ServeBinary(bln) }()
 	}
@@ -141,4 +119,20 @@ func RunTruthrouted(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "truthrouted: binary serve:", err)
 		return 1
 	}
+}
+
+// listen binds addr and, when addrFile is set, writes the bound
+// address to it, so scripts that listen on port 0 learn the port.
+func listen(addr, addrFile string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	if addrFile != "" {
+		if err := os.WriteFile(addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+			_ = ln.Close()
+			return nil, err
+		}
+	}
+	return ln, nil
 }

@@ -25,6 +25,25 @@ const (
 	EngineNaive
 )
 
+// engineNames spells each Engine the way flags and the daemon's
+// ?engine= parameter name it.
+var engineNames = [...]string{EngineFast: "fast", EngineNaive: "naive"}
+
+// ParseEngine returns the Engine named name, "fast" or "naive": the
+// one parser behind every -engine flag and the daemon's ?engine=
+// parameter.
+func ParseEngine(name string) (Engine, error) {
+	for e, n := range engineNames {
+		if n == name {
+			return Engine(e), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown engine %q: want fast or naive", name)
+}
+
+// Name returns the name ParseEngine accepts for e.
+func (e Engine) Name() string { return engineNames[e] }
+
 // ErrNoPath is returned when the target is unreachable from the
 // source under the declared costs.
 var ErrNoPath = errors.New("core: no path from source to target")

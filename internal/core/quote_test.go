@@ -320,3 +320,17 @@ func TestQuoteString(t *testing.T) {
 		}
 	}
 }
+
+func TestParseEngine(t *testing.T) {
+	for _, e := range []Engine{EngineFast, EngineNaive} {
+		got, err := ParseEngine(e.Name())
+		if err != nil || got != e {
+			t.Errorf("ParseEngine(%q) = %d, %v; want %d", e.Name(), got, err, e)
+		}
+	}
+	for _, bad := range []string{"", "fsat", "Fast", "quantum"} {
+		if _, err := ParseEngine(bad); err == nil {
+			t.Errorf("ParseEngine(%q) accepted", bad)
+		}
+	}
+}

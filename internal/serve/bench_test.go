@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math/rand/v2"
 	"net"
 	"net/http"
@@ -21,6 +20,26 @@ func benchServer(b *testing.B, n int) *Server {
 	s := New(g, Config{MaxInFlight: 4096})
 	b.Cleanup(s.Drain)
 	return s
+}
+
+// inProcHTTP dials RunLoad's HTTP transport straight into s's
+// ServeHTTP.
+func inProcHTTP(s *Server) func() (LoadTransport, error) {
+	return func() (LoadTransport, error) {
+		return &httpTransport{do: func(target string) int {
+			return doBenchReq(s, "GET", target, nil).Code
+		}}, nil
+	}
+}
+
+// inProcBinary dials RunLoad's binary transport over a net.Pipe
+// connection served by s.
+func inProcBinary(s *Server) func() (LoadTransport, error) {
+	return func() (LoadTransport, error) {
+		cEnd, sEnd := net.Pipe()
+		go s.serveConn(sEnd)
+		return &binaryTransport{c: NewBinaryClient(cEnd)}, nil
+	}
 }
 
 func doBenchReq(s *Server, method, target string, body []byte) *httptest.ResponseRecorder {
@@ -109,13 +128,9 @@ func BenchmarkServeUpdateBatch(b *testing.B) {
 func BenchmarkServeQuoteLoad(b *testing.B) {
 	const n = 64
 	s := benchServer(b, n)
-	do := func(src, dst int) (int, error) {
-		rec := doBenchReq(s, "GET", fmt.Sprintf("/quote?src=%d&dst=%d", src, dst), nil)
-		return rec.Code, nil
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	res, err := RunLoad(do, LoadOptions{N: n, Workers: 4, Requests: b.N, Seed: 1})
+	res, err := RunLoad(inProcHTTP(s), LoadOptions{N: n, Workers: 4, Requests: b.N, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -182,14 +197,9 @@ func BenchmarkServeBinaryQuoteCached(b *testing.B) {
 func BenchmarkServeBinaryQuoteLoad(b *testing.B) {
 	const n = 64
 	s := benchServer(b, n)
-	dial := func() (*BinaryClient, error) {
-		cEnd, sEnd := net.Pipe()
-		go s.serveConn(sEnd)
-		return NewBinaryClient(cEnd), nil
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	res, err := RunLoadBinary(dial, LoadOptions{N: n, Workers: 4, Requests: b.N, Seed: 1, Pipeline: 128})
+	res, err := RunLoad(inProcBinary(s), LoadOptions{N: n, Workers: 4, Requests: b.N, Seed: 1, Pipeline: 128})
 	if err != nil {
 		b.Fatal(err)
 	}

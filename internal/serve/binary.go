@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"truthroute/internal/core"
 	"truthroute/internal/obs"
 )
 
@@ -197,73 +196,22 @@ func (s *Server) readFrames(conn net.Conn, out chan<- binFrame) {
 	}
 }
 
-// handleBinaryQuote runs one quote request through admission and the
-// snapshot memo, queueing exactly one response frame. It reports
-// closing=true when the server is draining: the error frame is
-// queued first, so the client sees the reason before the hangup.
-// Admission mirrors the HTTP admit wrapper byte for byte: semaphore
-// refusal is backpressure (ErrCodeOverloaded, connection stays up),
-// and the wg.Add-then-recheck order keeps Drain's wait sound.
+// handleBinaryQuote runs one quote request through admission and
+// the shared resolver, queueing exactly one response frame. It reports
+// closing=true when the server is draining: the error frame is queued
+// first, so the client sees the reason before the hangup. An overload
+// refusal is backpressure: the connection stays up.
 func (s *Server) handleBinaryQuote(out chan<- binFrame, reqid uint32, req *BinaryRequest) (closing bool) {
-	select {
-	case s.inflight <- struct{}{}:
-	default:
-		obsRejected.Inc()
-		out <- errorFrame(reqid, ErrCodeOverloaded, "overloaded: in-flight request limit reached")
-		return false
+	if ref := s.enter(); ref.Code != 0 {
+		out <- errorFrame(reqid, ref.Code, ref.Msg)
+		return ref.Code == ErrCodeDraining
 	}
-	obsInflightPeak.SetMax(int64(len(s.inflight)))
-	defer func() { <-s.inflight }()
-	s.wg.Add(1)
-	defer s.wg.Done()
-	if s.draining.Load() {
-		out <- errorFrame(reqid, ErrCodeDraining, "draining")
-		return true
-	}
+	defer s.leave()
 	//lint:allow determinism wall clock feeds only the obs latency histogram, never quote output
 	began := time.Now()
-
-	src, dst := int(req.Src), int(req.Dst)
-	if src >= s.n || dst >= s.n {
-		obsBinBadRequests.Inc()
-		out <- errorFrame(reqid, ErrCodeBadRequest, "node id out of range")
-		return false
-	}
-	if src == dst {
-		obsBinBadRequests.Inc()
-		out <- errorFrame(reqid, ErrCodeBadRequest, "src and dst are both "+strconv.Itoa(src))
-		return false
-	}
-	engine := s.engine
-	switch req.Engine {
-	case EngineDefault:
-	case EngineFastByte:
-		engine = core.EngineFast
-	case EngineNaiveByte:
-		engine = core.EngineNaive
-	}
-	if s.shardOf[src] != s.shardOf[dst] {
-		obsNoPath.Inc()
-		out <- errorFrame(reqid, ErrCodeNoPath, "no path: src and dst are in different components")
-		return false
-	}
-	sh := s.shards[s.shardOf[src]]
-	snap := sh.snap.Load() // the only load: epoch, pin check and payload cohere
-	if req.PinEpoch != 0 && snap.epoch != req.PinEpoch {
-		obsBinEpochMismatch.Inc()
-		out <- errorFrame(reqid, ErrCodeEpochMismatch,
-			"shard "+strconv.Itoa(sh.id)+" is at epoch "+strconv.FormatUint(snap.epoch, 10)+
-				", request pinned "+strconv.FormatUint(req.PinEpoch, 10))
-		return false
-	}
-	payload, err := sh.framePayload(snap, int(s.local[src]), int(s.local[dst]), engine)
-	if err != nil {
-		if errors.Is(err, core.ErrNoPath) {
-			obsNoPath.Inc()
-			out <- errorFrame(reqid, ErrCodeNoPath, "no path from src to dst")
-			return false
-		}
-		out <- errorFrame(reqid, ErrCodeInternal, err.Error())
+	payload, ref := s.resolve(int(req.Src), int(req.Dst), req.Engine, req.PinEpoch, &binaryPlane)
+	if ref.Code != 0 {
+		out <- errorFrame(reqid, ref.Code, ref.Msg)
 		return false
 	}
 	out <- binFrame{kind: KindQuoteResp, reqid: reqid, payload: payload}

@@ -325,9 +325,7 @@ func TestServeBinaryTCPEndToEnd(t *testing.T) {
 		t.Fatalf("info over TCP: %+v", info)
 	}
 
-	res, err := RunLoadBinary(func() (*BinaryClient, error) {
-		return DialBinary(ln.Addr().String())
-	}, LoadOptions{N: 11, Workers: 3, Requests: 300, Seed: 7, Pipeline: 8})
+	res, err := RunLoad(BinaryQuoteDo(ln.Addr().String()), LoadOptions{N: 11, Workers: 3, Requests: 300, Seed: 7, Pipeline: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,42 +359,105 @@ func TestServeBinaryTCPEndToEnd(t *testing.T) {
 	}
 }
 
+// namedDial is one of RunLoad's transports under a subtest name.
+type namedDial struct {
+	name string
+	dial func() (LoadTransport, error)
+}
+
+// loadTransports are RunLoad's two transports wired into s in-process:
+// HTTP through ServeHTTP, binary over net.Pipe connections.
+func loadTransports(s *Server) []namedDial {
+	return []namedDial{{"http", inProcHTTP(s)}, {"binary", inProcBinary(s)}}
+}
+
 // TestRunLoadBinaryAccounting drives the in-process handler through
-// the pipelined load generator and checks the books add up for every
-// outcome class.
+// the windowed load driver over both transports and checks the books
+// add up for every outcome class.
 func TestRunLoadBinaryAccounting(t *testing.T) {
 	s := New(twoIslands(), Config{})
 	defer s.Drain()
-	dial := func() (*BinaryClient, error) {
-		cEnd, sEnd := net.Pipe()
-		go s.serveConn(sEnd)
-		return NewBinaryClient(cEnd), nil
+	for _, tr := range loadTransports(s) {
+		t.Run(tr.name, func(t *testing.T) {
+			res, err := RunLoad(tr.dial, LoadOptions{N: 11, Workers: 4, Requests: 400, Seed: 3, Pipeline: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Requests != 400 {
+				t.Fatalf("requests = %d, want 400", res.Requests)
+			}
+			if res.Errors != 0 || res.Rejected != 0 {
+				t.Fatalf("unexpected failures: %+v", res)
+			}
+			// twoIslands has three components, so the seeded pair draw is
+			// guaranteed to cross one eventually.
+			if res.NoPath == 0 {
+				t.Error("no cross-component pair drawn in 400 seeded requests")
+			}
+			if res.OK+res.NoPath != 400 {
+				t.Fatalf("answered %d of %d: %+v", res.OK+res.NoPath, 400, res)
+			}
+			if res.Percentile(50) <= 0 || res.Percentile(99) < res.Percentile(50) {
+				t.Fatalf("implausible percentiles: p50 %v p99 %v", res.Percentile(50), res.Percentile(99))
+			}
+			if _, err := RunLoad(tr.dial, LoadOptions{N: 11, Workers: 1, Requests: 10, Engine: "quantum"}); err == nil {
+				t.Fatal("unknown engine accepted")
+			}
+			if _, err := RunLoad(tr.dial, LoadOptions{N: 1, Workers: 1, Requests: 10}); err == nil {
+				t.Fatal("single-node load accepted")
+			}
+		})
 	}
-	res, err := RunLoadBinary(dial, LoadOptions{N: 11, Workers: 4, Requests: 400, Seed: 3, Pipeline: 16})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestRefusalParity pins every refusal class to the HTTP status and
+// the binary ErrCode each plane answered it with before the planes
+// shared one admission step and one resolver.
+func TestRefusalParity(t *testing.T) {
+	overload := func(s *Server) func() {
+		s.inflight <- struct{}{}
+		s.inflight <- struct{}{}
+		return func() {
+			<-s.inflight
+			<-s.inflight
+		}
 	}
-	if res.Requests != 400 {
-		t.Fatalf("requests = %d, want 400", res.Requests)
+	drain := func(s *Server) func() {
+		s.Drain()
+		return func() {}
 	}
-	if res.Errors != 0 || res.Rejected != 0 {
-		t.Fatalf("unexpected failures: %+v", res)
+	cases := []struct {
+		name     string
+		src, dst int
+		setup    func(*Server) func()
+		status   int
+		code     uint8
+	}{
+		{"out of range", 0, 99, nil, http.StatusBadRequest, ErrCodeBadRequest},
+		{"same endpoint", 3, 3, nil, http.StatusBadRequest, ErrCodeBadRequest},
+		{"cross component", 0, 7, nil, http.StatusNotFound, ErrCodeNoPath},
+		{"overloaded", 0, 2, overload, http.StatusTooManyRequests, ErrCodeOverloaded},
+		{"draining", 0, 2, drain, http.StatusServiceUnavailable, ErrCodeDraining},
 	}
-	// twoIslands has three components, so the seeded pair draw is
-	// guaranteed to cross one eventually.
-	if res.NoPath == 0 {
-		t.Error("no cross-component pair drawn in 400 seeded requests")
-	}
-	if res.OK+res.NoPath != 400 {
-		t.Fatalf("answered %d of %d: %+v", res.OK+res.NoPath, 400, res)
-	}
-	if res.Percentile(50) <= 0 || res.Percentile(99) < res.Percentile(50) {
-		t.Fatalf("implausible percentiles: p50 %v p99 %v", res.Percentile(50), res.Percentile(99))
-	}
-	if _, err := RunLoadBinary(dial, LoadOptions{N: 11, Workers: 1, Requests: 10, Engine: "quantum"}); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-	if _, err := RunLoadBinary(dial, LoadOptions{N: 1, Workers: 1, Requests: 10}); err == nil {
-		t.Fatal("single-node load accepted")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(twoIslands(), Config{MaxInFlight: 2})
+			defer s.Drain()
+			c := pipeClient(t, s)
+			if tc.setup != nil {
+				defer tc.setup(s)()
+			}
+			rec := doReq(t, s, "GET", fmt.Sprintf("/quote?src=%d&dst=%d", tc.src, tc.dst), "")
+			if rec.Code != tc.status {
+				t.Errorf("http: status %d, want %d (%s)", rec.Code, tc.status, rec.Body.String())
+			}
+			res, err := c.Quote(&BinaryRequest{Src: uint32(tc.src), Dst: uint32(tc.dst)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Kind != KindError || res.Err.Code != tc.code {
+				t.Errorf("binary: kind %#02x code %d, want error code %d (%s)", res.Kind, res.Err.Code, tc.code, res.Err.Msg)
+			}
+		})
 	}
 }

@@ -175,39 +175,62 @@ func TestWriteFramesBrokenPeer(t *testing.T) {
 }
 
 // TestRunLoadBinaryPacedDuration covers the QPS-paced, duration-bound
-// worker loop and the dial-failure path.
+// worker loop and the dial-failure path over both transports.
 func TestRunLoadBinaryPacedDuration(t *testing.T) {
 	s := New(twoIslands(), Config{})
 	defer s.Drain()
-	dial := func() (*BinaryClient, error) {
-		cEnd, sEnd := net.Pipe()
-		go s.serveConn(sEnd)
-		return NewBinaryClient(cEnd), nil
-	}
-	res, err := RunLoadBinary(dial, LoadOptions{
-		N: 11, Workers: 2, Duration: 300 * time.Millisecond, QPS: 200, Seed: 5, Pipeline: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 || res.Requests == 0 {
-		t.Fatalf("paced run: %+v", res)
-	}
-	// 200 qps for 0.3s is ~60 requests; pacing failed if the run
-	// closed the loop flat out.
-	if res.Requests > 120 {
-		t.Fatalf("pacing had no effect: %d requests in 300ms at 200 qps", res.Requests)
-	}
-	if res.QPS() <= 0 {
-		t.Fatalf("qps = %f", res.QPS())
+	for _, tr := range loadTransports(s) {
+		t.Run(tr.name, func(t *testing.T) {
+			res, err := RunLoad(tr.dial, LoadOptions{
+				N: 11, Workers: 2, Duration: 300 * time.Millisecond, QPS: 200, Seed: 5, Pipeline: 4,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Errors != 0 || res.Requests == 0 {
+				t.Fatalf("paced run: %+v", res)
+			}
+			// 200 qps for 0.3s is ~60 requests; pacing failed if the run
+			// closed the loop flat out.
+			if res.Requests > 120 {
+				t.Fatalf("pacing had no effect: %d requests in 300ms at 200 qps", res.Requests)
+			}
+			if res.QPS() <= 0 {
+				t.Fatalf("qps = %f", res.QPS())
+			}
+		})
 	}
 
-	failDial := func() (*BinaryClient, error) { return nil, io.ErrClosedPipe }
-	res, err = RunLoadBinary(failDial, LoadOptions{N: 11, Workers: 3, Requests: 30})
+	failDial := func() (LoadTransport, error) { return nil, io.ErrClosedPipe }
+	res, err := RunLoad(failDial, LoadOptions{N: 11, Workers: 3, Requests: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Errors != 3 || res.OK != 0 {
 		t.Fatalf("dial failures: %+v", res)
+	}
+}
+
+// TestRunLoadPacedDeadline: a paced worker whose next tick falls past
+// the deadline stops at the deadline instead of sleeping to the tick
+// and sending one more request. At 1 qps with a 100ms budget that is
+// one request and an elapsed time near 100ms, not two requests and 1s.
+func TestRunLoadPacedDeadline(t *testing.T) {
+	s := New(twoIslands(), Config{})
+	defer s.Drain()
+	const duration, slack = 100 * time.Millisecond, 200 * time.Millisecond
+	for _, tr := range loadTransports(s) {
+		t.Run(tr.name, func(t *testing.T) {
+			res, err := RunLoad(tr.dial, LoadOptions{N: 4, Workers: 1, QPS: 1, Duration: duration})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Requests != 1 || res.Errors != 0 {
+				t.Errorf("requests %d, errors %d; want 1 request and no errors", res.Requests, res.Errors)
+			}
+			if res.Elapsed >= duration+slack {
+				t.Errorf("elapsed %v, want under %v", res.Elapsed, duration+slack)
+			}
+		})
 	}
 }

@@ -8,14 +8,17 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"truthroute/internal/core"
 )
 
-// This file is the load-test harness behind cmd/quoteload and
-// BenchmarkServeQuoteLoad: deterministic seeded closed-loop workers
-// driving any quote transport at an optional target QPS, aggregating
-// latency percentiles. The transport is abstracted as a do function
-// so the CLI measures the daemon over real HTTP while benchmarks
-// drive ServeHTTP in-process.
+// This file is the load-test harness behind cmd/quoteload and the
+// Serve*QuoteLoad benchmarks: one driver of deterministic seeded
+// windowed workers at an optional target QPS, aggregating latency
+// percentiles, over a two-method LoadTransport. The HTTP transport is
+// its depth-1 case, the binary transport pipelines; the CLI measures
+// the daemon over real sockets while benchmarks and tests drive
+// ServeHTTP and net.Pipe connections in-process.
 
 // now reads the wall clock for load measurement.
 //
@@ -28,9 +31,8 @@ type LoadOptions struct {
 	// N is the node-id space (src, dst) pairs are drawn from,
 	// uniformly with src != dst.
 	N int
-	// Workers is the number of closed-loop workers: each has at most
-	// one request outstanding and issues the next only after the
-	// previous response. Default 4.
+	// Workers is the number of workers, each over its own transport
+	// with at most Pipeline requests outstanding. Default 4.
 	Workers int
 	// QPS is the aggregate target rate the workers pace themselves
 	// to; 0 issues as fast as the loops close. A worker that falls
@@ -42,13 +44,14 @@ type LoadOptions struct {
 	Duration time.Duration
 	// Seed makes pair selection deterministic per (Seed, worker).
 	Seed uint64
-	// Engine optionally pins ?engine= on generated requests.
+	// Engine optionally pins the engine ("fast" or "naive") on
+	// generated requests.
 	Engine string
-	// Pipeline is the per-worker in-flight window for RunLoadBinary:
-	// each worker keeps up to Pipeline requests outstanding on its
-	// connection before blocking on a response. 1 (and 0) degenerate
-	// to the closed loop RunLoad runs; RunLoad itself ignores the
-	// field because HTTP/1.1 has no response-stream pipelining.
+	// Pipeline is the per-worker in-flight window: each worker keeps
+	// up to Pipeline requests outstanding on its transport before
+	// blocking on a response. 1 (and 0) is the closed loop; the HTTP
+	// transport, which has no response pipelining, issues a deeper
+	// window's requests one after another.
 	Pipeline int
 }
 
@@ -123,116 +126,35 @@ type workerStats struct {
 	latencies                            []time.Duration
 }
 
-// RunLoad drives do with opt.Workers closed-loop workers and merges
-// their stats. do returns the HTTP status of one quote request for
-// the given (src, dst) pair, or a transport error.
-func RunLoad(do func(src, dst int) (int, error), opt LoadOptions) (*LoadResult, error) {
-	if opt.N < 2 {
-		return nil, fmt.Errorf("serve: load needs at least 2 nodes, have %d", opt.N)
-	}
-	if opt.Requests <= 0 && opt.Duration <= 0 {
-		return nil, fmt.Errorf("serve: load needs a request or duration budget")
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	if opt.Requests > 0 && workers > opt.Requests {
-		workers = opt.Requests
-	}
-	var tick time.Duration
-	if opt.QPS > 0 {
-		tick = time.Duration(float64(workers) / opt.QPS * float64(time.Second))
-	}
-	start := now()
-	var deadline time.Time
-	if opt.Duration > 0 {
-		deadline = start.Add(opt.Duration)
-	}
-	stats := make([]workerStats, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		budget := 0
-		if opt.Requests > 0 {
-			budget = opt.Requests / workers
-			if wk < opt.Requests%workers {
-				budget++
-			}
-		}
-		wg.Add(1)
-		go func(wk, budget int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(opt.Seed, uint64(wk)+1))
-			st := &stats[wk]
-			// Phase-spread the workers so a paced run doesn't fire
-			// all workers on the same schedule tick.
-			next := start.Add(tick * time.Duration(wk) / time.Duration(workers))
-			for i := 0; budget == 0 || i < budget; i++ {
-				if !deadline.IsZero() && !now().Before(deadline) {
-					break
-				}
-				if tick > 0 {
-					if d := next.Sub(now()); d > 0 {
-						time.Sleep(d)
-					}
-					next = next.Add(tick)
-				}
-				src := rng.IntN(opt.N)
-				dst := rng.IntN(opt.N - 1)
-				if dst >= src {
-					dst++
-				}
-				t0 := now()
-				status, err := do(src, dst)
-				d := now().Sub(t0)
-				st.requests++
-				switch {
-				case err != nil:
-					st.errs++
-				case status == http.StatusOK:
-					st.ok++
-					st.latencies = append(st.latencies, d)
-				case status == http.StatusNotFound:
-					st.noPath++
-					st.latencies = append(st.latencies, d)
-				case status == http.StatusTooManyRequests:
-					st.rejected++
-				default:
-					st.errs++
-				}
-			}
-		}(wk, budget)
-	}
-	wg.Wait()
-	res := &LoadResult{Elapsed: now().Sub(start)}
-	for i := range stats {
-		st := &stats[i]
-		res.Requests += st.requests
-		res.OK += st.ok
-		res.NoPath += st.noPath
-		res.Rejected += st.rejected
-		res.Errors += st.errs
-		res.latencies = append(res.latencies, st.latencies...)
-	}
-	return res, nil
+// LoadTransport is one load worker's connection to a quote service.
+// Send issues the quote request for one pair, possibly buffered until
+// the next Recv. Recv waits for the outcome of the oldest request not
+// yet received, as the HTTP status that answers it (0 for a request
+// lost in transit), and errs only when the transport can answer
+// nothing more. RunLoad closes a transport that is an io.Closer.
+type LoadTransport interface {
+	Send(req BinaryRequest) error
+	Recv() (status int, err error)
 }
 
-// RunLoadBinary drives the binary quote protocol with opt.Workers
-// workers, each owning one connection from dial for its whole run
-// (connection reuse) and keeping up to opt.Pipeline requests in
-// flight on it (pipelining). Latency is measured send-to-receive per
-// request, so at depth > 1 it includes pipeline queueing — the
-// number a real pipelining client experiences. Accounting matches
-// RunLoad: quote responses and no-path refusals are answered
-// requests with latencies, overload refusals are backpressure, and
-// transport failures (including responses lost to a dead connection)
-// are errors.
-func RunLoadBinary(dial func() (*BinaryClient, error), opt LoadOptions) (*LoadResult, error) {
+// RunLoad drives opt.Workers workers, each over its own transport from
+// dial and keeping up to opt.Pipeline requests in flight on it, and
+// merges their stats. Latency is measured send-to-receive per request,
+// so at depth > 1 it includes pipeline queueing, the number a real
+// pipelining client experiences. Quote responses and no-path refusals
+// are answered requests with latencies, overload refusals are
+// backpressure, and transport failures (including requests a dead
+// transport never answered) are errors.
+func RunLoad(dial func() (LoadTransport, error), opt LoadOptions) (*LoadResult, error) {
 	if opt.N < 2 {
 		return nil, fmt.Errorf("serve: load needs at least 2 nodes, have %d", opt.N)
 	}
 	if opt.Requests <= 0 && opt.Duration <= 0 {
 		return nil, fmt.Errorf("serve: load needs a request or duration budget")
+	}
+	sel, err := engineSelector(opt.Engine)
+	if err != nil {
+		return nil, fmt.Errorf("serve: load: %w", err)
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -245,17 +167,6 @@ func RunLoadBinary(dial func() (*BinaryClient, error), opt LoadOptions) (*LoadRe
 	if depth <= 0 {
 		depth = 1
 	}
-	var engByte uint8
-	switch opt.Engine {
-	case "":
-		engByte = EngineDefault
-	case "fast":
-		engByte = EngineFastByte
-	case "naive":
-		engByte = EngineNaiveByte
-	default:
-		return nil, fmt.Errorf("serve: load engine must be fast or naive, have %q", opt.Engine)
-	}
 	var tick time.Duration
 	if opt.QPS > 0 {
 		tick = time.Duration(float64(workers) / opt.QPS * float64(time.Second))
@@ -279,64 +190,64 @@ func RunLoadBinary(dial func() (*BinaryClient, error), opt LoadOptions) (*LoadRe
 		go func(wk, budget int) {
 			defer wg.Done()
 			st := &stats[wk]
-			c, err := dial()
+			tr, err := dial()
 			if err != nil {
 				st.errs++
 				return
 			}
-			defer func() { _ = c.Close() }()
-			rng := rand.New(rand.NewPCG(opt.Seed, uint64(wk)+1))
-			type pending struct {
-				id uint32
-				t  time.Time
+			if c, ok := tr.(io.Closer); ok {
+				defer func() { _ = c.Close() }()
 			}
-			window := make([]pending, 0, depth)
-			nextID := uint32(1)
-			issued := 0
-			// Phase-spread paced workers exactly like RunLoad.
+			rng := rand.New(rand.NewPCG(opt.Seed, uint64(wk)+1))
+			// more reports whether budget and deadline allow a send;
+			// window holds the send times in flight, oldest first.
+			more := func() bool {
+				return (budget == 0 || st.requests < budget) && (deadline.IsZero() || now().Before(deadline))
+			}
+			window := make([]time.Time, 0, depth)
+			// Phase-spread the workers so a paced run doesn't fire
+			// all workers on the same schedule tick.
 			next := start.Add(tick * time.Duration(wk) / time.Duration(workers))
 			dead := false
 			for {
-				for !dead && len(window) < depth {
-					if budget > 0 && issued >= budget {
-						break
-					}
-					if !deadline.IsZero() && !now().Before(deadline) {
-						break
-					}
+				for !dead && len(window) < depth && more() {
 					if tick > 0 {
-						if d := next.Sub(now()); d > 0 {
-							time.Sleep(d)
+						// Never sleep past the deadline, and recheck
+						// it after waking.
+						wake := next
+						if !deadline.IsZero() && deadline.Before(wake) {
+							wake = deadline
 						}
+						time.Sleep(wake.Sub(now()))
 						next = next.Add(tick)
+						if !more() {
+							break
+						}
 					}
 					src := rng.IntN(opt.N)
 					dst := rng.IntN(opt.N - 1)
 					if dst >= src {
 						dst++
 					}
-					req := BinaryRequest{Src: uint32(src), Dst: uint32(dst), Engine: engByte}
-					issued++
 					st.requests++
-					if err := c.Send(nextID, &req); err != nil {
+					if err := tr.Send(BinaryRequest{Src: uint32(src), Dst: uint32(dst), Engine: sel}); err != nil {
 						st.errs++
 						dead = true
 						break
 					}
-					window = append(window, pending{id: nextID, t: now()})
-					nextID++
+					window = append(window, now())
 				}
 				if len(window) == 0 {
 					return
 				}
 				// Receive in bursts: while more sends remain, drain only
-				// to half depth before refilling, so each flush (Recv
-				// flushes pending sends) carries ~depth/2 requests
-				// instead of the one a lock-step loop would send. When
-				// the budget is spent, drain the window completely.
+				// to half depth before refilling, so each flush (a
+				// binary Recv flushes pending sends) carries ~depth/2
+				// requests instead of the one a lock-step loop would
+				// send. When the budget is spent, drain the window
+				// completely.
 				low := 0
-				if !dead && (budget == 0 || issued < budget) &&
-					(deadline.IsZero() || now().Before(deadline)) {
+				if !dead && more() {
 					low = depth / 2
 				}
 				// head indexes the oldest unanswered request; the
@@ -344,29 +255,23 @@ func RunLoadBinary(dial func() (*BinaryClient, error), opt LoadOptions) (*LoadRe
 				// memmoving the window on every response.
 				head := 0
 				for len(window)-head > low {
-					res, err := c.Recv()
+					status, err := tr.Recv()
 					if err != nil {
-						// The connection died with the rest of the window
+						// The transport died with the rest of the window
 						// owed; every unanswered request is a failure.
 						st.errs += len(window) - head
 						return
 					}
-					p := window[head]
+					d := now().Sub(window[head])
 					head++
-					d := now().Sub(p.t)
-					switch {
-					case res.ReqID != p.id:
-						// A desynchronized stream cannot attribute any
-						// further response; bail like a transport error.
-						st.errs += 1 + len(window) - head
-						return
-					case res.Kind == KindQuoteResp:
+					switch status {
+					case http.StatusOK:
 						st.ok++
 						st.latencies = append(st.latencies, d)
-					case res.Kind == KindError && res.Err.Code == ErrCodeNoPath:
+					case http.StatusNotFound:
 						st.noPath++
 						st.latencies = append(st.latencies, d)
-					case res.Kind == KindError && res.Err.Code == ErrCodeOverloaded:
+					case http.StatusTooManyRequests:
 						st.rejected++
 					default:
 						st.errs++
@@ -390,22 +295,91 @@ func RunLoadBinary(dial func() (*BinaryClient, error), opt LoadOptions) (*LoadRe
 	return res, nil
 }
 
-// HTTPQuoteDo returns a do function for RunLoad that issues real
+// httpTransport is the HTTP LoadTransport: Send queues the pair and
+// Recv issues the oldest queued one as GET /quote through do, so
+// HTTP/1.1, which has no response pipelining, is the depth-1 case.
+type httpTransport struct {
+	// do issues one GET for a /quote target and returns its status,
+	// or 0 when the request failed in transit.
+	do    func(target string) int
+	queue []BinaryRequest
+}
+
+func (t *httpTransport) Send(req BinaryRequest) error {
+	t.queue = append(t.queue, req)
+	return nil
+}
+
+func (t *httpTransport) Recv() (int, error) {
+	req := t.queue[0]
+	t.queue = t.queue[:copy(t.queue, t.queue[1:])]
+	target := fmt.Sprintf("/quote?src=%d&dst=%d", req.Src, req.Dst)
+	if req.Engine != EngineDefault {
+		target += "&engine=" + core.Engine(req.Engine-EngineFastByte).Name()
+	}
+	return t.do(target), nil
+}
+
+// HTTPQuoteDo returns the dial for RunLoad's HTTP transport: real
 // GET /quote requests against base (e.g. "http://127.0.0.1:8437")
-// using client. The response body is drained so connections are
+// using client. Response bodies are drained so connections are
 // reused.
-func HTTPQuoteDo(client *http.Client, base, engine string) func(src, dst int) (int, error) {
-	return func(src, dst int) (int, error) {
-		url := fmt.Sprintf("%s/quote?src=%d&dst=%d", base, src, dst)
-		if engine != "" {
-			url += "&engine=" + engine
-		}
-		resp, err := client.Get(url)
+func HTTPQuoteDo(client *http.Client, base string) func() (LoadTransport, error) {
+	do := func(target string) int {
+		resp, err := client.Get(base + target)
 		if err != nil {
-			return 0, err
+			return 0
 		}
 		_, _ = io.Copy(io.Discard, resp.Body)
 		_ = resp.Body.Close()
-		return resp.StatusCode, nil
+		return resp.StatusCode
+	}
+	return func() (LoadTransport, error) { return &httpTransport{do: do}, nil }
+}
+
+// binaryTransport is the binary-protocol LoadTransport over one
+// BinaryClient connection: Send buffers a request frame, Recv flushes
+// and reads the next response, checking its echoed reqid.
+type binaryTransport struct {
+	c              *BinaryClient
+	sent, received uint32 // reqids of the last request sent and answered
+}
+
+func (t *binaryTransport) Send(req BinaryRequest) error {
+	t.sent++
+	return t.c.Send(t.sent, &req)
+}
+
+func (t *binaryTransport) Recv() (int, error) {
+	res, err := t.c.Recv()
+	if err != nil {
+		return 0, err
+	}
+	t.received++
+	switch {
+	case res.ReqID != t.received:
+		// A desynchronized stream cannot attribute any further
+		// response.
+		return 0, fmt.Errorf("serve: wire: response reqid %d, want %d", res.ReqID, t.received)
+	case res.Kind == KindQuoteResp:
+		return http.StatusOK, nil
+	case res.Kind == KindError:
+		return httpStatus(res.Err.Code), nil
+	}
+	return 0, nil
+}
+
+func (t *binaryTransport) Close() error { return t.c.Close() }
+
+// BinaryQuoteDo returns the dial for RunLoad's binary transport: one
+// connection to the binary listener at addr (host:port) per worker,
+// reused for its whole run.
+func BinaryQuoteDo(addr string) func() (LoadTransport, error) {
+	return func() (LoadTransport, error) {
+		c, err := DialBinary(addr)
+		if err != nil {
+			return nil, err
+		}
+		return &binaryTransport{c: c}, nil
 	}
 }

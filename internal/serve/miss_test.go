@@ -60,7 +60,7 @@ func TestServeMissAllocs(t *testing.T) {
 	snap := sh.snap.Load()
 	src := 1
 	miss := func() {
-		if _, err := sh.framePayload(snap, src, 0, core.EngineFast); err != nil {
+		if _, err := sh.payload(snap, src, 0, core.EngineFast, obsBinCacheHits, obsBinCacheMisses); err != nil {
 			t.Fatal(err)
 		}
 		src++
@@ -121,7 +121,7 @@ func TestAllSourcesTableBuildRace(t *testing.T) {
 				start.Wait()
 				for j := 0; j < perWorker; j++ {
 					i := w*perWorker + j
-					body, err := sh.quote(snap, 1+i, 0, core.EngineFast)
+					body, err := memoQuote(sh, snap, 1+i, 0)
 					if err != nil {
 						t.Error(err)
 						return
@@ -136,7 +136,7 @@ func TestAllSourcesTableBuildRace(t *testing.T) {
 		rsh := ref.shards[0]
 		rsnap := rsh.snap.Load()
 		for i, body := range got {
-			want, err := rsh.quote(rsnap, 1+i, 0, core.EngineFast)
+			want, err := memoQuote(rsh, rsnap, 1+i, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,6 +154,16 @@ func TestAllSourcesTableBuildRace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// memoQuote is the fast quote JSON the HTTP plane serves for (ls, lt)
+// on snap: the quote bytes of the memo payload.
+func memoQuote(sh *shard, snap *snapshot, ls, lt int) ([]byte, error) {
+	payload, err := sh.payload(snap, ls, lt, core.EngineFast, obsCacheHits, obsCacheMisses)
+	if err != nil {
+		return nil, err
+	}
+	return payload[binaryQuoteHeadLen:], nil
 }
 
 // sameQuoteBits reports whether two quotes share path, cost bits and

@@ -74,3 +74,12 @@ var (
 	// histogram next to serve.quote_latency_ns.
 	obsBinLatencyNS = obs.NewHistogram("serve.binary.quote_latency_ns", obs.LatencyBuckets())
 )
+
+// plane is one serving plane's request counters, handed to
+// Server.resolve so both planes keep their own metric names.
+type plane struct{ bad, hits, misses *obs.Counter }
+
+var (
+	httpPlane   = plane{obsBadRequests, obsCacheHits, obsCacheMisses}
+	binaryPlane = plane{obsBinBadRequests, obsBinCacheHits, obsBinCacheMisses}
+)

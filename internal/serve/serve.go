@@ -191,32 +191,122 @@ func (s *Server) Drain() {
 	})
 }
 
-// admit wraps a handler with the admission gate: a full in-flight
-// budget refuses immediately with 429 (the load generator observes
-// these as backpressure, not latency), and a draining server refuses
-// with 503. The wg.Add-then-recheck order makes Drain's wait sound:
-// a request that passed the recheck is counted before Drain returns
-// from Wait, so writers only stop after it finished.
+// enter is the one admission step of both quote planes and /update.
+// A full in-flight budget refuses immediately (the load generator
+// observes these as backpressure, not latency), and so does a draining
+// server. The wg.Add-then-recheck order makes Drain's wait sound: a
+// request that passed the recheck is counted before Drain returns from
+// Wait, so writers only stop after it finished. A caller admitted with
+// the zero refusal must call leave when done.
+//
+//lint:noalloc admission runs ahead of every warm quote on both planes
+func (s *Server) enter() BinaryError {
+	select {
+	case s.inflight <- struct{}{}:
+	default:
+		obsRejected.Inc()
+		return BinaryError{Code: ErrCodeOverloaded, Msg: "overloaded: in-flight request limit reached"}
+	}
+	obsInflightPeak.SetMax(int64(len(s.inflight)))
+	s.wg.Add(1)
+	if s.draining.Load() {
+		s.leave()
+		return BinaryError{Code: ErrCodeDraining, Msg: "draining"}
+	}
+	return BinaryError{}
+}
+
+// leave releases the admission enter granted.
+func (s *Server) leave() {
+	s.wg.Done()
+	<-s.inflight
+}
+
+// admit wraps a handler with the admission gate: an overload refusal
+// is a 429 with a Retry-After hint, a draining one a 503.
 func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.inflight <- struct{}{}:
-		default:
-			obsRejected.Inc()
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "overloaded: in-flight request limit reached")
+		if ref := s.enter(); ref.Code != 0 {
+			if ref.Code == ErrCodeOverloaded {
+				w.Header().Set("Retry-After", "1")
+			}
+			writeError(w, httpStatus(ref.Code), ref.Msg)
 			return
 		}
-		obsInflightPeak.SetMax(int64(len(s.inflight)))
-		defer func() { <-s.inflight }()
-		s.wg.Add(1)
-		defer s.wg.Done()
-		if s.draining.Load() {
-			writeError(w, http.StatusServiceUnavailable, "draining")
-			return
-		}
+		defer s.leave()
 		h(w, r)
 	}
+}
+
+// refuseSameEndpoint and refuseEpoch build the refusals whose messages
+// format request data, outlined like core's errSameEndpoint so their
+// allocations stay out of resolve's zero-alloc body.
+//
+//go:noinline
+func refuseSameEndpoint(v int) BinaryError {
+	return BinaryError{Code: ErrCodeBadRequest, Msg: "src and dst are both " + strconv.Itoa(v)}
+}
+
+//go:noinline
+func refuseEpoch(shard int, epoch, pin uint64) BinaryError {
+	return BinaryError{Code: ErrCodeEpochMismatch, Msg: "shard " + strconv.Itoa(shard) + " is at epoch " +
+		strconv.FormatUint(epoch, 10) + ", request pinned " + strconv.FormatUint(pin, 10)}
+}
+
+// httpStatus is the HTTP status that answers a refusal's ErrCode.
+func httpStatus(code uint8) int {
+	switch code {
+	case ErrCodeBadRequest:
+		return http.StatusBadRequest
+	case ErrCodeNoPath:
+		return http.StatusNotFound
+	case ErrCodeOverloaded:
+		return http.StatusTooManyRequests
+	case ErrCodeDraining:
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
+// resolve is the quote path both planes share past admission and
+// parsing. It serves global ids (src, dst) with engine selector sel
+// from the epoch memo as a KindQuoteResp payload, or returns the
+// refusal, as an error frame's payload, that each plane maps to its
+// wire form. A non-zero pin refuses unless the shard is at that epoch.
+//
+//lint:noalloc the epoch-cached read path of both planes: a warm hit must serve bytes without touching the heap
+func (s *Server) resolve(src, dst int, sel uint8, pin uint64, p *plane) ([]byte, BinaryError) {
+	if uint(src) >= uint(s.n) || uint(dst) >= uint(s.n) {
+		p.bad.Inc()
+		return nil, BinaryError{Code: ErrCodeBadRequest, Msg: "node id out of range"}
+	}
+	if src == dst {
+		p.bad.Inc()
+		return nil, refuseSameEndpoint(src)
+	}
+	engine := s.engine
+	if sel != EngineDefault {
+		engine = core.Engine(sel - EngineFastByte)
+	}
+	if s.shardOf[src] != s.shardOf[dst] {
+		obsNoPath.Inc()
+		return nil, BinaryError{Code: ErrCodeNoPath, Msg: "no path: src and dst are in different components"}
+	}
+	sh := s.shards[s.shardOf[src]]
+	snap := sh.snap.Load() // the only load: epoch, pin check and payload cohere
+	if pin != 0 && snap.epoch != pin {
+		obsBinEpochMismatch.Inc()
+		return nil, refuseEpoch(sh.id, snap.epoch, pin)
+	}
+	payload, err := sh.payload(snap, int(s.local[src]), int(s.local[dst]), engine, p.hits, p.misses)
+	if err != nil {
+		if errors.Is(err, core.ErrNoPath) {
+			obsNoPath.Inc()
+			return nil, BinaryError{Code: ErrCodeNoPath, Msg: "no path from src to dst"}
+		}
+		return nil, BinaryError{Code: ErrCodeInternal, Msg: err.Error()}
+	}
+	return payload, BinaryError{}
 }
 
 // QuoteResponse is the /quote payload: the epoch the quote was
@@ -280,41 +370,20 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if src == dst {
-		obsBadRequests.Inc()
-		writeError(w, http.StatusBadRequest, "src and dst are both "+strconv.Itoa(src))
-		return
-	}
-	engine := s.engine
-	switch r.URL.Query().Get("engine") {
-	case "":
-	case "fast":
-		engine = core.EngineFast
-	case "naive":
-		engine = core.EngineNaive
-	default:
+	sel, err := engineSelector(r.URL.Query().Get("engine"))
+	if err != nil {
 		obsBadRequests.Inc()
 		writeError(w, http.StatusBadRequest, "engine must be fast or naive")
 		return
 	}
-	if s.shardOf[src] != s.shardOf[dst] {
-		obsNoPath.Inc()
-		writeError(w, http.StatusNotFound, "no path: src and dst are in different components")
+	payload, ref := s.resolve(src, dst, sel, 0, &httpPlane)
+	if ref.Code != 0 {
+		writeError(w, httpStatus(ref.Code), ref.Msg)
 		return
 	}
-	sh := s.shards[s.shardOf[src]]
-	snap := sh.snap.Load() // the only load: epoch and quote cohere
-	body, err := sh.quote(snap, int(s.local[src]), int(s.local[dst]), engine)
-	if err != nil {
-		if errors.Is(err, core.ErrNoPath) {
-			obsNoPath.Inc()
-			writeError(w, http.StatusNotFound, "no path from src to dst")
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, QuoteResponse{Shard: sh.id, Epoch: snap.epoch, Quote: body})
+	// A memo payload always carries its head and quote bytes.
+	q, _ := DecodeBinaryQuote(payload)
+	writeJSON(w, http.StatusOK, QuoteResponse{Shard: int(q.Shard), Epoch: q.Epoch, Quote: q.Quote})
 	obsQuotesServed.Inc()
 	if obs.On() {
 		//lint:allow determinism wall clock feeds only the obs latency histogram, never quote output

@@ -192,35 +192,13 @@ func (sh *shard) localQuote(snap *snapshot, ls, lt int, engine core.Engine) (*co
 	return q, nil
 }
 
-// quote serves the marshalled global-id quote JSON for (ls, lt) on
-// snap: the HTTP plane's view of the epoch memo.
-//
-//lint:noalloc the epoch-cached read path: a warm hit must serve bytes without touching the heap
-func (sh *shard) quote(snap *snapshot, ls, lt int, engine core.Engine) ([]byte, error) {
-	payload, err := sh.payload(snap, ls, lt, engine, obsCacheHits, obsCacheMisses)
-	if err != nil {
-		return nil, err
-	}
-	return payload[binaryQuoteHeadLen:], nil
-}
-
-// framePayload serves the pre-serialized KindQuoteResp payload for
-// (ls, lt) on snap: the binary plane's view of the epoch memo. The
-// caller's only remaining work is a frame-header fill and one copy of
-// these bytes into the connection's write buffer.
-//
-//lint:noalloc the epoch-cached binary read path: a warm hit must serve payload bytes without touching the heap
-func (sh *shard) framePayload(snap *snapshot, ls, lt int, engine core.Engine) ([]byte, error) {
-	return sh.payload(snap, ls, lt, engine, obsBinCacheHits, obsBinCacheMisses)
-}
-
 // payload serves the memoized payload for (engine, ls, lt) on snap,
 // counting the lookup against the calling plane's hit/miss counters.
 // Repeated requests within an epoch are served the identical bytes:
 // the hit path is one sync.Map probe and performs no heap allocation
 // (the int64 key boxes on the stack because Load does not retain it).
 //
-//lint:noalloc the shared memo probe under both planes' hit paths
+//lint:noalloc the memo probe under Server.resolve's hit path
 func (sh *shard) payload(snap *snapshot, ls, lt int, engine core.Engine, hits, misses *obs.Counter) ([]byte, error) {
 	memo := &snap.node[ls].memo
 	key := int64(engine)<<32 | int64(lt)

@@ -4,13 +4,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"truthroute/internal/core"
 )
 
 // This file defines the binary quote protocol: the length-prefixed,
 // versioned wire format truthrouted speaks on -binary-addr, designed
 // so the steady-state server cost per quote is one frame-header fill
 // and one copy of a pre-serialized payload already living inside the
-// epoch snapshot (shard.framePayload). DESIGN.md §15 is the wire spec
+// epoch snapshot (Server.resolve). DESIGN.md §15 is the wire spec
 // of record; the struct declarations below double as the field-order
 // specification, enforced by truthlint's wireorder analyzer exactly
 // like internal/dist's protocol codec.
@@ -94,6 +96,18 @@ const (
 	EngineNaiveByte = 0x02
 )
 
+// engineSelector maps an engine name as -engine flags and ?engine=
+// spell it to its selector byte: "" defers to the daemon's default,
+// any other name goes through core.ParseEngine. The pinning bytes
+// follow core.Engine's order.
+func engineSelector(name string) (uint8, error) {
+	if name == "" {
+		return EngineDefault, nil
+	}
+	e, err := core.ParseEngine(name)
+	return EngineFastByte + uint8(e), err
+}
+
 // BinaryRequest is the KindQuoteReq payload. Field declaration order
 // is wire order (big-endian fixed-width fields, 17 bytes total).
 // PinEpoch of 0 accepts whatever epoch the shard currently publishes;
@@ -138,7 +152,8 @@ const binaryInfoLen = 9
 
 // BinaryError is the KindError payload: a one-byte code followed by a
 // human-readable message running to the end of the frame. Field
-// declaration order is wire order.
+// declaration order is wire order. The server also passes refusals of
+// either plane around as BinaryError values; Code 0 refuses nothing.
 type BinaryError struct {
 	Code uint8
 	Msg  string
@@ -192,7 +207,7 @@ func DecodeBinaryRequest(payload []byte) (BinaryRequest, error) {
 // EncodeBinaryQuote appends the KindQuoteResp payload of q to dst in
 // declaration order. The server never calls this on the hot path —
 // shards pre-serialize the payload once per (engine, source, target)
-// per epoch (shard.framePayload) — but the encoder is the executable
+// per epoch (shard.fill) — but the encoder is the executable
 // specification the memo builder and the tests hold themselves to.
 func EncodeBinaryQuote(dst []byte, q *BinaryQuote) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, q.Shard)

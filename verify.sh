@@ -148,6 +148,49 @@ stage_bench() (
     go run ./cmd/benchreport -benchtime "${BENCHTIME:-0.3s}" -out BENCH_payments.json
 )
 
+# start_daemon LABEL [binary]: build truthrouted, quoteload and netgen
+# into a fresh $tmp, serve a 96-node netgen topology (HTTP address in
+# $tmp/addr; with "binary" the binary one in $tmp/binaddr too) and
+# wait for the addr file. stop_daemon SIGTERMs it and fails unless it
+# drains and exits 0; on an earlier exit the trap kills it.
+start_daemon() {
+    label=$1
+    binary=${2:-}
+    tmp=$(mktemp -d)
+    daemon=""
+    trap '[ -n "$daemon" ] && kill "$daemon" 2>/dev/null; rm -rf "$tmp"' EXIT
+    ( set -x
+      go build -o "$tmp/truthrouted" ./cmd/truthrouted
+      go build -o "$tmp/quoteload" ./cmd/quoteload
+      go build -o "$tmp/netgen" ./cmd/netgen )
+    "$tmp/netgen" -n 96 -seed 11 > "$tmp/net.json"
+    ready="$tmp/addr"
+    set -- -addr 127.0.0.1:0 -addr-file "$tmp/addr"
+    if [ "$binary" = binary ]; then
+        ready="$tmp/binaddr"
+        set -- "$@" -binary-addr 127.0.0.1:0 -binary-addr-file "$ready"
+    fi
+    "$tmp/truthrouted" -topology "$tmp/net.json" "$@" &
+    daemon=$!
+    tries=0
+    while [ ! -s "$ready" ]; do
+        tries=$((tries + 1))
+        if [ "$tries" -gt 100 ]; then
+            echo "$label: daemon never wrote its addr file $ready" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+}
+
+stop_daemon() {
+    kill -TERM "$daemon"
+    wait "$daemon"
+    daemon=""
+    rm -rf "$tmp"
+    trap - EXIT
+}
+
 stage_serve() {
     # Serving gate: the daemon's end-to-end story. First the oracle
     # tests, forced fresh (-count=1): the differential suite (every
@@ -165,37 +208,11 @@ stage_serve() {
         -run 'TestServeDifferentialVsSolver|TestServeDifferentialQuantized|TestServeSnapshotConsistencyUnderRace|TestServeCrashMidBatchRestart'
       go test ./internal/serve/ -race -count=10 -run 'TestAllSourcesTableBuildRace' )
 
-    tmp=$(mktemp -d)
-    daemon=""
-    cleanup_serve() {
-        [ -n "$daemon" ] && kill "$daemon" 2>/dev/null
-        rm -rf "$tmp"
-    }
-    trap 'cleanup_serve' EXIT
-    ( set -x
-      go build -o "$tmp/truthrouted" ./cmd/truthrouted
-      go build -o "$tmp/quoteload" ./cmd/quoteload
-      go build -o "$tmp/netgen" ./cmd/netgen )
-    "$tmp/netgen" -n 96 -seed 11 > "$tmp/net.json"
-    "$tmp/truthrouted" -topology "$tmp/net.json" -addr 127.0.0.1:0 -addr-file "$tmp/addr" &
-    daemon=$!
-    tries=0
-    while [ ! -s "$tmp/addr" ]; do
-        tries=$((tries + 1))
-        if [ "$tries" -gt 100 ]; then
-            echo "serve: daemon never wrote its addr file" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
+    start_daemon serve
     ( set -x
       "$tmp/quoteload" -addr "file:$tmp/addr" -duration "${SMOKELOAD:-5s}" -workers 8 \
           -bench BenchmarkServeQuoteLoadHTTP )
-    kill -TERM "$daemon"
-    wait "$daemon"
-    daemon=""
-    rm -rf "$tmp"
-    trap - EXIT
+    stop_daemon
     echo "serve: smoke load ok, daemon drained cleanly"
 }
 
@@ -215,41 +232,13 @@ stage_serve_binary() {
       go test ./internal/serve/ -race -count=1 \
         -run 'TestServeBinaryHTTPByteIdentity|TestServeBinaryTCPEndToEnd' )
 
-    tmp=$(mktemp -d)
-    daemon=""
-    cleanup_serve_binary() {
-        [ -n "$daemon" ] && kill "$daemon" 2>/dev/null
-        rm -rf "$tmp"
-    }
-    trap 'cleanup_serve_binary' EXIT
-    ( set -x
-      go build -o "$tmp/truthrouted" ./cmd/truthrouted
-      go build -o "$tmp/quoteload" ./cmd/quoteload
-      go build -o "$tmp/netgen" ./cmd/netgen )
-    "$tmp/netgen" -n 96 -seed 11 > "$tmp/net.json"
-    "$tmp/truthrouted" -topology "$tmp/net.json" \
-        -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-        -binary-addr 127.0.0.1:0 -binary-addr-file "$tmp/binaddr" &
-    daemon=$!
-    tries=0
-    while [ ! -s "$tmp/binaddr" ]; do
-        tries=$((tries + 1))
-        if [ "$tries" -gt 100 ]; then
-            echo "serve-binary: daemon never wrote its binary addr file" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
+    start_daemon serve-binary binary
     loadout="${LOADOUT:-/tmp}/quoteload_binary.txt"
     ( set -x
       "$tmp/quoteload" -addr "file:$tmp/binaddr" -proto binary -pipeline 64 \
           -duration "${SMOKELOAD:-5s}" -workers 4 \
           -bench BenchmarkServeQuoteLoadBinary | tee "$loadout" )
-    kill -TERM "$daemon"
-    wait "$daemon"
-    daemon=""
-    rm -rf "$tmp"
-    trap - EXIT
+    stop_daemon
     echo "serve-binary: pipelined smoke load ok, daemon drained cleanly (latency report: $loadout)"
 }
 
