@@ -6,10 +6,10 @@
 //
 // Usage:
 //
-//	truthrouted -topology net.json [-addr 127.0.0.1:8437] [-binary-addr 127.0.0.1:8438] [-engine fast|naive]
+//	truthrouted -topology net.json [-addr 127.0.0.1:8437] [-binary-addr 127.0.0.1:8438]
 //
 // HTTP endpoints:
-//   - GET  /quote?src=S&dst=D[&engine=fast|naive] — one payment quote
+//   - GET  /quote?src=S&dst=D — one payment quote (Algorithm 1)
 //   - POST /update {"updates":[{"node":N,"cost":C},...]} — batched
 //     cost updates, applied atomically per shard (epoch snapshot flip)
 //   - GET  /epoch, GET /healthz — shard epochs and liveness

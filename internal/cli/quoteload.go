@@ -34,7 +34,6 @@ func RunQuoteload(args []string, stdout, stderr io.Writer) int {
 	requests := fs.Int("requests", 0, "total request budget (default 2000 when -duration is unset)")
 	duration := fs.Duration("duration", 0, "wall-clock budget, an alternative stop rule")
 	seed := fs.Uint64("seed", 1, "random seed for (src, dst) pair selection")
-	engine := fs.String("engine", "", "pin the engine on requests: fast or naive (default: the daemon's default)")
 	nodes := fs.Int("n", 0, "node-id space to draw pairs from (0 = ask the daemon: /healthz over http, an info frame over binary)")
 	benchName := fs.String("bench", "", "also emit a go-bench-format line under this Benchmark* name")
 	if err := fs.Parse(args); err != nil {
@@ -69,7 +68,6 @@ func RunQuoteload(args []string, stdout, stderr io.Writer) int {
 		Requests: *requests,
 		Duration: *duration,
 		Seed:     *seed,
-		Engine:   *engine,
 		Pipeline: *pipeline,
 	}
 

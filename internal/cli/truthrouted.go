@@ -11,7 +11,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"truthroute/internal/core"
 	"truthroute/internal/obs"
 	"truthroute/internal/serve"
 )
@@ -29,7 +28,6 @@ func RunTruthrouted(args []string, stdout, stderr io.Writer) int {
 	addrFile := fs.String("addr-file", "", "write the bound HTTP address to this file once listening (for scripts with port 0)")
 	binAddr := fs.String("binary-addr", "", "also serve the binary quote protocol (DESIGN.md §15) on this TCP address (empty = HTTP only)")
 	binAddrFile := fs.String("binary-addr-file", "", "write the bound binary address to this file once listening")
-	engine := fs.String("engine", "fast", "default replacement-path engine: fast or naive")
 	maxInflight := fs.Int("max-inflight", serve.DefaultMaxInFlight, "admitted in-flight request bound; excess load is refused with 429")
 	warm := fs.Int("warm", 0, "solver workspaces pre-warmed per shard (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
@@ -37,11 +35,6 @@ func RunTruthrouted(args []string, stdout, stderr io.Writer) int {
 	}
 	if *topo == "" {
 		fmt.Fprintln(stderr, "truthrouted: -topology is required")
-		return 2
-	}
-	eng, err := core.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(stderr, "truthrouted: -engine:", err)
 		return 2
 	}
 	g, err := loadNodeGraph(*topo)
@@ -55,7 +48,7 @@ func RunTruthrouted(args []string, stdout, stderr io.Writer) int {
 	// serve.* counters are the operational surface.
 	obs.Reset()
 	obs.Enable()
-	srv := serve.New(g, serve.Config{Engine: eng, MaxInFlight: *maxInflight, WarmWorkspaces: *warm})
+	srv := serve.New(g, serve.Config{MaxInFlight: *maxInflight, WarmWorkspaces: *warm})
 
 	// Register the signal handler before the bound address becomes
 	// visible (stdout, -addr-file): a supervisor that reads the

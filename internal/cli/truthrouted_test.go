@@ -225,8 +225,9 @@ func TestTruthroutedFlagErrors(t *testing.T) {
 	if code := RunTruthrouted(nil, &out, &errb); code != 2 {
 		t.Fatalf("missing -topology: exit %d", code)
 	}
-	if code := RunTruthrouted([]string{"-topology", "x.json", "-engine", "quantum"}, &out, &errb); code != 2 {
-		t.Fatalf("bad engine: exit %d", code)
+	// The daemon serves one engine, so -engine is an unknown flag.
+	if code := RunTruthrouted([]string{"-topology", "x.json", "-engine", "naive"}, &out, &errb); code != 2 {
+		t.Fatalf("-engine naive: exit %d", code)
 	}
 	if code := RunTruthrouted([]string{"-topology", filepath.Join(t.TempDir(), "missing.json")}, &out, &errb); code != 1 {
 		t.Fatalf("missing topology file: exit %d", code)

@@ -32,10 +32,9 @@
 //     carry the Δ_{i,k} improvement term.
 //
 // Assumptions inherited from the paper: relay costs are
-// non-negative, and for the fast engine strictly positive with
-// unique shortest paths (ties of measure zero under continuous
-// random costs; the engine is property-tested against the naive one
-// on thousands of random instances). When removing a relay (or its
+// non-negative. The fast engine needs nothing more: zero-cost relays
+// and tied paths are covered by the argument in fast.go and tested
+// bit for bit against the naive engine. When removing a relay (or its
 // neighbourhood) disconnects source from target, the relay holds a
 // monopoly and its payment is +Inf; the paper excludes this by
 // assuming biconnectivity, and Quote.Monopolists reports any

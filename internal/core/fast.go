@@ -34,10 +34,9 @@ import (
 //     L(a)+c_a+c_b+R(b), each edge valid for l in
 //     (level(a), level(b)) (the paper's step 5).
 //
-// Requires strictly positive interior costs for the lemmas'
-// strict-inequality arguments (standard unique-shortest-path
-// assumption); fast_test.go property-tests it against the naive
-// engine.
+// Costs need only be non-negative; zero-cost relays and tied paths
+// are fine (argument below). fast_test.go tests it against the naive
+// engine, bit for bit on integer costs with zeros.
 //
 // All scratch lives in the solverSpace: per-query validity of pos and
 // level is scoped to treeS.Order (only reachable nodes are ever
@@ -53,11 +52,43 @@ import (
 //
 // path may be any least cost s–t path, not only treeS's tree path to t
 // (QuoteIntoToward passes the destination tree's path on exact costs).
-// Levels read Parent only for off-path nodes, so level(v) is still the
-// last path node on v's tree path. When sums are exact and interior
-// costs positive, prefix costs strictly increase along path from r_1
-// on, so every path node that is a tree ancestor of r_j has an index
-// below j, and a prefix to a node of level < l still avoids r_l.
+// Levels read Parent only for off-path nodes, so level(v) is the index
+// of v's nearest path-node ancestor in treeS. The result is exact for
+// costs ≥ 0, in exact arithmetic, for any such path and tree. Fix
+// 0 < l < σ; call level < l low, level > l high, and the off-path
+// nodes of level l bush l.
+//
+//   - Prefix. A low a of level j is reached at cost L(a), avoiding
+//     r_l, by path's own prefix to r_j (a least cost prefix, cost
+//     L(r_j)) and then a's tree path below r_j, which holds no path
+//     node. Nothing is assumed about the tree above r_j: with
+//     zero-cost runs on the path, treeS may reach r_j through a later
+//     r_i (L(r_i) = L(r_j), every relay between them free), so
+//     treeS's own prefix to a may pass r_l; this walk never does.
+//   - Suffix. Take a high b, its nearest path ancestor r_k (k > l)
+//     and seg, the cost of the tree nodes strictly between them. Up
+//     the tree to r_k, then along path's suffix, is a b–t walk
+//     avoiding r_l of cost W ≤ seg + c(r_k) + R(r_k). If a least cost
+//     b–t path Q runs through r_l, then s → r_l along path and back
+//     along Q to b costs at least L(b) = L(r_k) + c(r_k) + seg, which
+//     bounds Q's b–r_l part below by c(r_{l+1..k}) + seg; so R(b) ≥
+//     c(r_{l+1..k}) + seg + c(r_l) + R(r_l) ≥ seg + c(r_k) + R(r_k) ≥ W.
+//     Either way R(b) is reached avoiding r_l (the paper's Lemma 2).
+//     Only ≥ is used, so ties and zero costs need no care.
+//   - Sound. Every candidate is hence the cost of an r_l-avoiding
+//     s–t walk: the prefix walk to a, then b, then (b in bush l) step
+//     3's moves inside the bush, which excludes r_l, out to a high
+//     node, then that node's suffix. With costs ≥ 0 a walk is no
+//     cheaper than the path it shortcuts to.
+//   - Complete. On a least cost path avoiding r_l, let a be its last
+//     low node and b the next one (b ≠ r_l). If b is high, step 5
+//     holds the edge (a, b); if b is in bush l, the path stays in the
+//     bush until a high node, so step 3's R^{-l}(b) is no larger and
+//     step 4 holds (a, b). Either candidate is at most the path's cost.
+//
+// On exact costs every sum above is exact, so the fast and naive
+// engines agree bit for bit. On continuous costs path is treeS's own
+// path to t and the engines agree up to summation order.
 func (w *solverSpace) fastReplacement(g *graph.NodeGraph, s, t int, treeS *sp.Tree, R []float64, path []int) {
 	if len(path) <= 2 {
 		return

@@ -139,6 +139,45 @@ func TestFastMatchesNaiveBitwiseOnTies(t *testing.T) {
 	if differ == 0 {
 		t.Fatal("no source took a path other than its source-tree path; the fixture exercises no ties")
 	}
+
+	// Second regime: costs drawn from {0, 1, 2}, so runs of zero-cost
+	// relays sit on many paths (the case fast.go's header argues).
+	// The batch engine is held to the same bits.
+	zeroRelay := 0
+	for seed := uint64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 17))
+		n := 6 + rng.IntN(40)
+		g := graph.RandomBiconnected(n, 0.1+0.3*rng.Float64(), rng)
+		for v := 0; v < n; v++ {
+			g.SetCost(v, float64(rng.IntN(3)))
+		}
+		tgt := rng.IntN(n)
+		batch := AllUnicastQuotes(g, tgt)
+		for s := 0; s < n; s++ {
+			if s == tgt {
+				continue
+			}
+			naive, err := sv.Quote(g, s, tgt, EngineNaive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, err := sv.Quote(g, s, tgt, EngineFast)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameQuoteBits(t, "zero costs, fast", fast, naive)
+			sameQuoteBits(t, "zero costs, batch", batch[s], naive)
+			for _, k := range naive.Path[1 : len(naive.Path)-1] {
+				if g.Cost(k) == 0 {
+					zeroRelay++
+					break
+				}
+			}
+		}
+	}
+	if zeroRelay == 0 {
+		t.Fatal("no quote has a zero-cost relay on its path; the zero-cost regime exercises nothing")
+	}
 }
 
 func TestFastOnFixtures(t *testing.T) {

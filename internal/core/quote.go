@@ -19,19 +19,16 @@ const (
 	// EngineFast is the paper's Algorithm 1 (§III.B): all payments
 	// for one source in O((n+m) log n).
 	EngineFast Engine = iota
-	// EngineNaive re-runs Dijkstra once per relay; the baseline the
-	// fast engine is verified against and the fallback when costs
-	// may be zero or tied.
+	// EngineNaive re-runs Dijkstra once per relay; the reference the
+	// fast engine is verified against.
 	EngineNaive
 )
 
-// engineNames spells each Engine the way flags and the daemon's
-// ?engine= parameter name it.
+// engineNames spells each Engine the way -engine flags name it.
 var engineNames = [...]string{EngineFast: "fast", EngineNaive: "naive"}
 
 // ParseEngine returns the Engine named name, "fast" or "naive": the
-// one parser behind every -engine flag and the daemon's ?engine=
-// parameter.
+// one parser behind every -engine flag.
 func ParseEngine(name string) (Engine, error) {
 	for e, n := range engineNames {
 		if n == name {
@@ -40,9 +37,6 @@ func ParseEngine(name string) (Engine, error) {
 	}
 	return 0, fmt.Errorf("unknown engine %q: want fast or naive", name)
 }
-
-// Name returns the name ParseEngine accepts for e.
-func (e Engine) Name() string { return engineNames[e] }
 
 // ErrNoPath is returned when the target is unreachable from the
 // source under the declared costs.

@@ -323,9 +323,9 @@ func TestQuoteString(t *testing.T) {
 
 func TestParseEngine(t *testing.T) {
 	for _, e := range []Engine{EngineFast, EngineNaive} {
-		got, err := ParseEngine(e.Name())
+		got, err := ParseEngine(engineNames[e])
 		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %d, %v; want %d", e.Name(), got, err, e)
+			t.Errorf("ParseEngine(%q) = %d, %v; want %d", engineNames[e], got, err, e)
 		}
 	}
 	for _, bad := range []string{"", "fsat", "Fast", "quantum"} {

@@ -22,10 +22,6 @@ type Options struct {
 	// values agree when |a−b| ≤ Tol·max(1,|a|,|b|), or both are +Inf
 	// (monopolists price at infinity in every engine).
 	Tol float64
-	// Fast additionally runs the §III.B fast engine, which assumes
-	// strictly positive costs and is verified on generic (tie-free)
-	// instances; see Canonicalize.
-	Fast bool
 	// MaxSources caps how many sources are checked (0 = all), picked
 	// by a deterministic stride so coverage is spread over the graph.
 	MaxSources int
@@ -233,10 +229,10 @@ func compareQuote(r *Result, check string, ref, got *core.Quote, costShift, tol 
 // relaxation schedule provably reproduces the binary-heap Dijkstra
 // tree entry for entry (see the determinism argument in
 // pq/bucket.go), so any drift, even one ulp or a differently broken
-// tie, is a bug, not a tie. The batch engine earns it on quantized
-// costs: there every sum is exact, so its payments cannot depend on
-// summation order, and every node-model engine routes along the same
-// destination tree, so a different path is a bug too.
+// tie, is a bug, not a tie. The batch and fast engines earn it on
+// quantized costs: there every sum is exact, so their payments cannot
+// depend on summation order, and every node-model engine routes along
+// the same destination tree, so a different path is a bug too.
 func exactQuote(r *Result, check string, ref, got *core.Quote) {
 	r.check(check)
 	if !samePath(ref.Path, got.Path) {
@@ -284,11 +280,11 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 
 	// When the cost vector admits a fixed-point quantum, every sum is
 	// exact and every engine follows the destination tree, so the
-	// batch quote is held to bitwise agreement, path included (see
-	// exactQuote). The default solver's auto policy then also runs
-	// Dijkstra on the monotone bucket queue; a solver pinned to the
-	// binary heap differentially verifies that the two frontiers break
-	// every tie identically.
+	// batch and fast quotes are held to bitwise agreement, path
+	// included (see exactQuote). The default solver's auto policy then
+	// also runs Dijkstra on the monotone bucket queue; a solver pinned
+	// to the binary heap differentially verifies that the two frontiers
+	// break every tie identically.
 	_, quantOK := g.CostQuantum()
 	var binSv *core.Solver
 	if quantOK {
@@ -335,13 +331,13 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 		checkWellFormed(res, g, naive, opt.Tol)
 		checkIndividualRationality(res, g, naive, opt.Tol)
 
-		if opt.Fast {
-			fast, ferr := core.UnicastQuote(g, s, dest, core.EngineFast)
-			if ferr != nil {
-				res.violate("engine-fast", s, dest, -1, "fast engine errored where naive succeeded: %v", ferr)
-			} else {
-				compareQuote(res, "engine-fast", naive, fast, 0, opt.Tol)
-			}
+		switch fast, ferr := core.UnicastQuote(g, s, dest, core.EngineFast); {
+		case ferr != nil:
+			res.violate("engine-fast", s, dest, -1, "fast engine errored where naive succeeded: %v", ferr)
+		case quantOK:
+			exactQuote(res, "engine-fast", naive, fast)
+		default:
+			compareQuote(res, "engine-fast", naive, fast, 0, opt.Tol)
 		}
 		switch {
 		case batch[s] == nil:

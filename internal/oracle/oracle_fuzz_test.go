@@ -98,9 +98,8 @@ func FuzzOracleInvariants(f *testing.F) {
 
 // FuzzOracleEngines is the strict cross-engine target: the decoded
 // topology is canonicalized (strictly positive, generically tie-free
-// costs), so ALL engines — including the fast §III.B algorithm, whose
-// unique-shortest-path assumption now holds — must agree exactly, and
-// a tie skip is not expected.
+// costs), so ALL engines must agree exactly, and a tie skip is not
+// expected.
 func FuzzOracleEngines(f *testing.F) {
 	for _, data := range corpusTopologies(f) {
 		f.Add(data)
@@ -111,7 +110,7 @@ func FuzzOracleEngines(f *testing.F) {
 			return
 		}
 		g := Canonicalize(raw)
-		opt := Options{Fast: true, MaxSources: 6, BruteMaxN: 8}
+		opt := Options{MaxSources: 6, BruteMaxN: 8}
 		res := CheckInstance(g, 0, opt)
 		failOnViolations(t, res, data)
 	})

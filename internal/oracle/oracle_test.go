@@ -136,11 +136,11 @@ func TestCheckInstanceFixtures(t *testing.T) {
 	}
 }
 
-// TestCheckInstanceFastOnFixtures: the fixtures have unique shortest
-// paths, so the fast engine joins the agreement family.
+// TestCheckInstanceFastOnFixtures: the fast engine is part of the
+// default agreement family.
 func TestCheckInstanceFastOnFixtures(t *testing.T) {
 	g := graph.Figure4()
-	res := CheckInstance(g, 0, Options{Fast: true})
+	res := CheckInstance(g, 0, Options{})
 	for _, v := range res.Violations {
 		t.Errorf("%s", v)
 	}
@@ -178,6 +178,9 @@ func TestCheckInstanceHandlesAdversarialShapes(t *testing.T) {
 		res := CheckInstance(g, 0, Options{Truthfulness: true, Metamorphic: true, Seed: 2})
 		for _, v := range res.Violations {
 			t.Errorf("%s: %s", name, v)
+		}
+		if name == "zero-cost" && res.Checks["engine-fast"] == 0 {
+			t.Error("zero-cost: the fast engine never ran")
 		}
 	}
 	if res := CheckInstance(graph.NewNodeGraph(1), 0, Options{}); !res.OK() || res.Skips["degenerate"] == 0 {

@@ -125,7 +125,6 @@ func Soak(opt SoakOptions) *Report {
 func soakInstance(opt SoakOptions, i int) (*graph.NodeGraph, Options) {
 	rng := rand.New(rand.NewPCG(opt.Seed, uint64(i)))
 	copt := Options{
-		Fast:         true,
 		Truthfulness: true,
 		Metamorphic:  true,
 		MaxSources:   opt.MaxSources,
@@ -174,13 +173,12 @@ func soakInstance(opt SoakOptions, i int) (*graph.NodeGraph, Options) {
 		g.RandomizeCosts(0.1, 8, rng)
 	default:
 		// Quantized integer costs with zeros: dense ties and
-		// zero-cost relays; the fast engine's genericity assumption
-		// does not hold, so only the tie-tolerant engines run.
+		// zero-cost relays, where the fast and batch engines are held
+		// bitwise to the naive one.
 		g = graph.ErdosRenyi(n, math.Min(1, (2+2*rng.Float64())/float64(n)), rng)
 		for v := 0; v < g.N(); v++ {
 			g.SetCost(v, float64(rng.IntN(6)))
 		}
-		copt.Fast = false
 	}
 	return g, copt
 }

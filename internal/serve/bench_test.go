@@ -55,7 +55,7 @@ func doBenchReq(s *Server, method, target string, body []byte) *httptest.Respons
 }
 
 // BenchmarkServeQuoteCached measures the steady-state read path: the
-// per-(source, engine, target) memo is warm, so each request is one
+// per-(source, target) memo is warm, so each request is one
 // atomic snapshot load, one cache hit, and the response write.
 func BenchmarkServeQuoteCached(b *testing.B) {
 	s := benchServer(b, 64)

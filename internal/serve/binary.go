@@ -209,7 +209,7 @@ func (s *Server) handleBinaryQuote(out chan<- binFrame, reqid uint32, req *Binar
 	defer s.leave()
 	//lint:allow determinism wall clock feeds only the obs latency histogram, never quote output
 	began := time.Now()
-	payload, ref := s.resolve(int(req.Src), int(req.Dst), req.Engine, req.PinEpoch, &binaryPlane)
+	payload, ref := s.resolve(int(req.Src), int(req.Dst), req.PinEpoch, &binaryPlane)
 	if ref.Code != 0 {
 		out <- errorFrame(reqid, ref.Code, ref.Msg)
 		return false

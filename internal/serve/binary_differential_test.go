@@ -19,6 +19,24 @@ import (
 // mixed-epoch response — both count as mismatches and both must be
 // zero. 404s and ErrCodeNoPath must agree too.
 func TestServeBinaryHTTPByteIdentity(t *testing.T) {
+	binaryByteIdentity(t, func(c float64) float64 { return c })
+}
+
+// TestServeBinaryHTTPByteIdentityZeroCost is the same oracle with
+// about a fifth of all costs, initial and updated, at zero on the
+// quarter grid; every served quote must also match the naive engine
+// bit for bit.
+func TestServeBinaryHTTPByteIdentityZeroCost(t *testing.T) {
+	if binaryByteIdentity(t, zeroQuarter) == 0 {
+		t.Fatal("no served quote was checked against the naive engine")
+	}
+}
+
+// binaryByteIdentity runs the cross-transport oracle with every
+// declared cost, initial and updated, passed through snap. It returns
+// how many served quotes had exact costs and so were checked against
+// the naive engine.
+func binaryByteIdentity(t *testing.T, snap func(float64) float64) (naiveChecked int) {
 	const topologies = 200
 	mismatches := 0
 	for topo := 0; topo < topologies; topo++ {
@@ -31,16 +49,22 @@ func TestServeBinaryHTTPByteIdentity(t *testing.T) {
 			g = graph.RandomBiconnected(n, 0.1+0.3*rng.Float64(), rng)
 		}
 		g.RandomizeCosts(0.5, 8, rng)
+		for v := 0; v < n; v++ {
+			g.SetCost(v, snap(g.Cost(v)))
+		}
 
 		s := New(g, Config{})
 		c := pipeClient(t, s)
 		cur := uint64(1)
+		costs := g.Costs() // under epoch cur
 
-		engine := "fast"
-		engByte := uint8(EngineFastByte)
+		// A third of the topologies name the engine on both planes,
+		// which must not change a byte.
+		engine := ""
+		engByte := uint8(EngineDefault)
 		if topo%3 == 0 {
-			engine = "naive"
-			engByte = EngineNaiveByte
+			engine = "&engine=fast"
+			engByte = EngineFastByte
 		}
 		for trial := 0; trial < 10; trial++ {
 			if trial == 4 || trial == 7 {
@@ -50,11 +74,11 @@ func TestServeBinaryHTTPByteIdentity(t *testing.T) {
 				var batch []CostUpdate
 				for v := 0; v < n; v++ {
 					if rng.IntN(3) == 0 {
-						batch = append(batch, CostUpdate{Node: v, Cost: 0.5 + 7.5*rng.Float64()})
+						batch = append(batch, CostUpdate{Node: v, Cost: snap(0.5 + 7.5*rng.Float64())})
 					}
 				}
 				if len(batch) == 0 {
-					batch = []CostUpdate{{Node: rng.IntN(n), Cost: 1 + rng.Float64()}}
+					batch = []CostUpdate{{Node: rng.IntN(n), Cost: snap(1 + rng.Float64())}}
 				}
 				touched := make(map[int32]bool)
 				for _, u := range batch {
@@ -63,8 +87,11 @@ func TestServeBinaryHTTPByteIdentity(t *testing.T) {
 				for v := 0; v < n; v++ {
 					if sid := s.shardOf[v]; !touched[sid] {
 						touched[sid] = true
-						batch = append(batch, CostUpdate{Node: v, Cost: 1 + rng.Float64()})
+						batch = append(batch, CostUpdate{Node: v, Cost: snap(1 + rng.Float64())})
 					}
+				}
+				for _, u := range batch {
+					costs[u.Node] = u.Cost
 				}
 				blob, err := json.Marshal(UpdateRequest{Updates: batch})
 				if err != nil {
@@ -81,7 +108,7 @@ func TestServeBinaryHTTPByteIdentity(t *testing.T) {
 			if dst >= src {
 				dst++
 			}
-			rec := doReq(t, s, "GET", fmt.Sprintf("/quote?src=%d&dst=%d&engine=%s", src, dst, engine), "")
+			rec := doReq(t, s, "GET", fmt.Sprintf("/quote?src=%d&dst=%d%s", src, dst, engine), "")
 			res, err := c.Quote(&BinaryRequest{Src: uint32(src), Dst: uint32(dst), Engine: engByte})
 			if err != nil {
 				t.Fatalf("topo %d: binary quote %d->%d: %v", topo, src, dst, err)
@@ -114,6 +141,14 @@ func TestServeBinaryHTTPByteIdentity(t *testing.T) {
 					mismatches++
 					t.Errorf("topo %d: quote %d->%d epoch %d bytes differ:\n  binary %s\n  http   %s",
 						topo, src, dst, qr.Epoch, res.Quote.Quote, qr.Quote)
+				}
+				gq := g.WithCosts(costs)
+				if _, exact := gq.CostQuantum(); exact {
+					naiveChecked++
+					if !sameQuoteJSON(t, res.Quote.Quote, naiveQuote(t, gq, src, dst)) {
+						mismatches++
+						t.Errorf("topo %d: quote %d->%d epoch %d differs from the naive engine", topo, src, dst, qr.Epoch)
+					}
 				}
 				// Pinning the epoch the HTTP response named must yield
 				// the same bytes again; pinning the previous epoch must
@@ -148,4 +183,5 @@ func TestServeBinaryHTTPByteIdentity(t *testing.T) {
 	if mismatches != 0 {
 		t.Fatalf("%d cross-transport mismatches across %d topologies", mismatches, topologies)
 	}
+	return naiveChecked
 }

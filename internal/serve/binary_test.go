@@ -50,6 +50,8 @@ func TestBinaryQuoteMatchesHTTP(t *testing.T) {
 	}
 }
 
+// TestBinaryEngineSelector: the daemon serves one engine, so the
+// default selector and the fast one answer with the same bytes.
 func TestBinaryEngineSelector(t *testing.T) {
 	s := New(twoIslands(), Config{})
 	defer s.Drain()
@@ -58,15 +60,15 @@ func TestBinaryEngineSelector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := c.Quote(&BinaryRequest{Src: 0, Dst: 2, Engine: EngineNaiveByte})
+	def, err := c.Quote(&BinaryRequest{Src: 0, Dst: 2, Engine: EngineDefault})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.Kind != KindQuoteResp || naive.Kind != KindQuoteResp {
-		t.Fatalf("kinds %#02x/%#02x", fast.Kind, naive.Kind)
+	if fast.Kind != KindQuoteResp || def.Kind != KindQuoteResp {
+		t.Fatalf("kinds %#02x/%#02x", fast.Kind, def.Kind)
 	}
-	if string(fast.Quote.Quote) != string(naive.Quote.Quote) {
-		t.Errorf("engines disagree:\n  fast  %s\n  naive %s", fast.Quote.Quote, naive.Quote.Quote)
+	if string(fast.Quote.Quote) != string(def.Quote.Quote) {
+		t.Errorf("selectors disagree:\n  fast    %s\n  default %s", fast.Quote.Quote, def.Quote.Quote)
 	}
 }
 
@@ -400,9 +402,6 @@ func TestRunLoadBinaryAccounting(t *testing.T) {
 			if res.Percentile(50) <= 0 || res.Percentile(99) < res.Percentile(50) {
 				t.Fatalf("implausible percentiles: p50 %v p99 %v", res.Percentile(50), res.Percentile(99))
 			}
-			if _, err := RunLoad(tr.dial, LoadOptions{N: 11, Workers: 1, Requests: 10, Engine: "quantum"}); err == nil {
-				t.Fatal("unknown engine accepted")
-			}
 			if _, err := RunLoad(tr.dial, LoadOptions{N: 1, Workers: 1, Requests: 10}); err == nil {
 				t.Fatal("single-node load accepted")
 			}
@@ -426,18 +425,23 @@ func TestRefusalParity(t *testing.T) {
 		s.Drain()
 		return func() {}
 	}
+	// The daemon serves one engine: selector byte 0x02 and
+	// ?engine=naive, which name the naive one, are bad requests.
+	const naive = 0x02
 	cases := []struct {
 		name     string
 		src, dst int
+		engine   uint8
 		setup    func(*Server) func()
 		status   int
 		code     uint8
 	}{
-		{"out of range", 0, 99, nil, http.StatusBadRequest, ErrCodeBadRequest},
-		{"same endpoint", 3, 3, nil, http.StatusBadRequest, ErrCodeBadRequest},
-		{"cross component", 0, 7, nil, http.StatusNotFound, ErrCodeNoPath},
-		{"overloaded", 0, 2, overload, http.StatusTooManyRequests, ErrCodeOverloaded},
-		{"draining", 0, 2, drain, http.StatusServiceUnavailable, ErrCodeDraining},
+		{"out of range", 0, 99, 0, nil, http.StatusBadRequest, ErrCodeBadRequest},
+		{"same endpoint", 3, 3, 0, nil, http.StatusBadRequest, ErrCodeBadRequest},
+		{"naive engine", 0, 2, naive, nil, http.StatusBadRequest, ErrCodeBadRequest},
+		{"cross component", 0, 7, 0, nil, http.StatusNotFound, ErrCodeNoPath},
+		{"overloaded", 0, 2, 0, overload, http.StatusTooManyRequests, ErrCodeOverloaded},
+		{"draining", 0, 2, 0, drain, http.StatusServiceUnavailable, ErrCodeDraining},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -447,16 +451,26 @@ func TestRefusalParity(t *testing.T) {
 			if tc.setup != nil {
 				defer tc.setup(s)()
 			}
-			rec := doReq(t, s, "GET", fmt.Sprintf("/quote?src=%d&dst=%d", tc.src, tc.dst), "")
+			target := fmt.Sprintf("/quote?src=%d&dst=%d", tc.src, tc.dst)
+			if tc.engine == naive {
+				target += "&engine=naive"
+			}
+			rec := doReq(t, s, "GET", target, "")
 			if rec.Code != tc.status {
 				t.Errorf("http: status %d, want %d (%s)", rec.Code, tc.status, rec.Body.String())
 			}
-			res, err := c.Quote(&BinaryRequest{Src: uint32(tc.src), Dst: uint32(tc.dst)})
+			res, err := c.Quote(&BinaryRequest{Src: uint32(tc.src), Dst: uint32(tc.dst), Engine: tc.engine})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Kind != KindError || res.Err.Code != tc.code {
 				t.Errorf("binary: kind %#02x code %d, want error code %d (%s)", res.Kind, res.Err.Code, tc.code, res.Err.Msg)
+			}
+			if tc.engine == naive {
+				// A bad request keeps the connection: it then serves.
+				if res, err := c.Quote(&BinaryRequest{Src: 0, Dst: 2}); err != nil || res.Kind != KindQuoteResp {
+					t.Fatalf("connection unusable after the refusal: kind %#02x err %v", res.Kind, err)
+				}
 			}
 		})
 	}

@@ -26,17 +26,39 @@ func TestServeDifferentialVsSolver(t *testing.T) {
 }
 
 // TestServeDifferentialQuantized is the same oracle on costs snapped
-// to quarter units, where every path sum is exact: fast misses are
-// served from the epoch's all-sources table and naive misses route
-// along the destination tree, and both must still match the direct
-// solver byte for byte, across shards and epoch flips.
+// to quarter units, where every path sum is exact: misses are served
+// from the epoch's all-sources table, and must still match the direct
+// solver byte for byte, across shards and epoch flips. On exact costs
+// the served bytes must also match the naive engine's quote.
 func TestServeDifferentialQuantized(t *testing.T) {
-	serveDifferential(t, func(c float64) float64 { return math.Round(c*4) / 4 })
+	if serveDifferential(t, func(c float64) float64 { return math.Round(c*4) / 4 }) == 0 {
+		t.Fatal("no served quote was checked against the naive engine")
+	}
+}
+
+// TestServeDifferentialZeroCost is the quantized oracle with about a
+// fifth of all costs, initial and updated, at zero: runs of zero-cost
+// relays, where the served Algorithm 1 must still match the naive
+// engine bit for bit.
+func TestServeDifferentialZeroCost(t *testing.T) {
+	if serveDifferential(t, zeroQuarter) == 0 {
+		t.Fatal("no served quote was checked against the naive engine")
+	}
+}
+
+// zeroQuarter snaps a cost drawn from [0.5, 8) to quarter units,
+// sending the bottom fifth of the range to zero.
+func zeroQuarter(c float64) float64 {
+	if c < 2 {
+		return 0
+	}
+	return math.Round(c*4) / 4
 }
 
 // serveDifferential runs the differential with every declared cost,
-// initial and updated, passed through snap.
-func serveDifferential(t *testing.T, snap func(float64) float64) {
+// initial and updated, passed through snap. It returns how many served
+// quotes had exact costs and so were checked against the naive engine.
+func serveDifferential(t *testing.T, snap func(float64) float64) (naiveChecked int) {
 	const topologies = 200
 	sv := core.NewSolver()
 	mismatches := 0
@@ -63,9 +85,11 @@ func serveDifferential(t *testing.T, snap func(float64) float64) {
 		costsAt := map[uint64][]float64{1: g.Costs()}
 		cur := uint64(1)
 
-		engine := "fast"
+		// A third of the topologies name the engine, which must not
+		// change a byte.
+		engine := ""
 		if topo%3 == 0 {
-			engine = "naive"
+			engine = "&engine=fast"
 		}
 		for trial := 0; trial < 10; trial++ {
 			if trial == 4 || trial == 7 {
@@ -124,7 +148,7 @@ func serveDifferential(t *testing.T, snap func(float64) float64) {
 			if dst >= src {
 				dst++
 			}
-			rec := doReq(t, s, "GET", fmt.Sprintf("/quote?src=%d&dst=%d&engine=%s", src, dst, engine), "")
+			rec := doReq(t, s, "GET", fmt.Sprintf("/quote?src=%d&dst=%d%s", src, dst, engine), "")
 			switch rec.Code {
 			case http.StatusNotFound:
 				// Cross-component or unreachable: the direct solver
@@ -140,22 +164,21 @@ func serveDifferential(t *testing.T, snap func(float64) float64) {
 				if !ok {
 					t.Fatalf("topo %d: response claims unknown epoch %d", topo, qr.Epoch)
 				}
-				eng := core.EngineFast
-				if engine == "naive" {
-					eng = core.EngineNaive
-				}
-				ref, err := sv.Quote(g.WithCosts(costs), src, dst, eng)
+				gq := g.WithCosts(costs)
+				ref, err := sv.Quote(gq, src, dst, core.EngineFast)
 				if err != nil {
 					t.Fatalf("topo %d: solver failed for served pair %d->%d: %v", topo, src, dst, err)
 				}
-				want, err := json.Marshal(ref)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(qr.Quote) != string(want) {
+				if !sameQuoteJSON(t, qr.Quote, ref) {
 					mismatches++
-					t.Errorf("topo %d: quote %d->%d epoch %d differs:\n  served %s\n  direct %s",
-						topo, src, dst, qr.Epoch, qr.Quote, want)
+					t.Errorf("topo %d: quote %d->%d epoch %d differs from the direct solver", topo, src, dst, qr.Epoch)
+				}
+				if _, exact := gq.CostQuantum(); exact {
+					naiveChecked++
+					if !sameQuoteJSON(t, qr.Quote, naiveQuote(t, gq, src, dst)) {
+						mismatches++
+						t.Errorf("topo %d: quote %d->%d epoch %d differs from the naive engine", topo, src, dst, qr.Epoch)
+					}
 				}
 			default:
 				t.Fatalf("topo %d: quote %d->%d: status %d body %s", topo, src, dst, rec.Code, rec.Body.String())
@@ -166,4 +189,31 @@ func serveDifferential(t *testing.T, snap func(float64) float64) {
 	if mismatches != 0 {
 		t.Fatalf("%d quote mismatches across %d topologies", mismatches, topologies)
 	}
+	return naiveChecked
+}
+
+// naiveQuote is the reference quote for (src, dst) on g: the naive
+// engine, one Dijkstra per relay.
+func naiveQuote(t *testing.T, g *graph.NodeGraph, src, dst int) *core.Quote {
+	t.Helper()
+	q, err := core.UnicastQuote(g, src, dst, core.EngineNaive)
+	if err != nil {
+		t.Fatalf("naive engine failed for %d->%d: %v", src, dst, err)
+	}
+	return q
+}
+
+// sameQuoteJSON reports whether served holds exactly the bytes q
+// marshals to, logging both when they differ.
+func sameQuoteJSON(t *testing.T, served []byte, q *core.Quote) bool {
+	t.Helper()
+	want, err := json.Marshal(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(served) != string(want) {
+		t.Logf("served %s\n  want   %s", served, want)
+		return false
+	}
+	return true
 }

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"truthroute/internal/core"
 )
 
 // This file is the load-test harness behind cmd/quoteload and the
@@ -44,9 +42,6 @@ type LoadOptions struct {
 	Duration time.Duration
 	// Seed makes pair selection deterministic per (Seed, worker).
 	Seed uint64
-	// Engine optionally pins the engine ("fast" or "naive") on
-	// generated requests.
-	Engine string
 	// Pipeline is the per-worker in-flight window: each worker keeps
 	// up to Pipeline requests outstanding on its transport before
 	// blocking on a response. 1 (and 0) is the closed loop; the HTTP
@@ -152,10 +147,6 @@ func RunLoad(dial func() (LoadTransport, error), opt LoadOptions) (*LoadResult, 
 	if opt.Requests <= 0 && opt.Duration <= 0 {
 		return nil, fmt.Errorf("serve: load needs a request or duration budget")
 	}
-	sel, err := engineSelector(opt.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("serve: load: %w", err)
-	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = 4
@@ -230,7 +221,7 @@ func RunLoad(dial func() (LoadTransport, error), opt LoadOptions) (*LoadResult, 
 						dst++
 					}
 					st.requests++
-					if err := tr.Send(BinaryRequest{Src: uint32(src), Dst: uint32(dst), Engine: sel}); err != nil {
+					if err := tr.Send(BinaryRequest{Src: uint32(src), Dst: uint32(dst)}); err != nil {
 						st.errs++
 						dead = true
 						break
@@ -313,11 +304,7 @@ func (t *httpTransport) Send(req BinaryRequest) error {
 func (t *httpTransport) Recv() (int, error) {
 	req := t.queue[0]
 	t.queue = t.queue[:copy(t.queue, t.queue[1:])]
-	target := fmt.Sprintf("/quote?src=%d&dst=%d", req.Src, req.Dst)
-	if req.Engine != EngineDefault {
-		target += "&engine=" + core.Engine(req.Engine-EngineFastByte).Name()
-	}
-	return t.do(target), nil
+	return t.do(fmt.Sprintf("/quote?src=%d&dst=%d", req.Src, req.Dst)), nil
 }
 
 // HTTPQuoteDo returns the dial for RunLoad's HTTP transport: real

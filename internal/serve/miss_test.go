@@ -60,7 +60,7 @@ func TestServeMissAllocs(t *testing.T) {
 	snap := sh.snap.Load()
 	src := 1
 	miss := func() {
-		if _, err := sh.payload(snap, src, 0, core.EngineFast, obsBinCacheHits, obsBinCacheMisses); err != nil {
+		if _, err := sh.payload(snap, src, 0, obsBinCacheHits, obsBinCacheMisses); err != nil {
 			t.Fatal(err)
 		}
 		src++
@@ -159,7 +159,7 @@ func TestAllSourcesTableBuildRace(t *testing.T) {
 // memoQuote is the fast quote JSON the HTTP plane serves for (ls, lt)
 // on snap: the quote bytes of the memo payload.
 func memoQuote(sh *shard, snap *snapshot, ls, lt int) ([]byte, error) {
-	payload, err := sh.payload(snap, ls, lt, core.EngineFast, obsCacheHits, obsCacheMisses)
+	payload, err := sh.payload(snap, ls, lt, obsCacheHits, obsCacheMisses)
 	if err != nil {
 		return nil, err
 	}

@@ -42,15 +42,11 @@ import (
 // requests when Config.MaxInFlight is zero.
 const DefaultMaxInFlight = 256
 
-// Config tunes a Server. The zero value serves with the fast engine
-// and the default admission budget.
+// Config tunes a Server. The zero value uses the default admission
+// budget. Every quote is priced by the paper's Algorithm 1 (the fast
+// engine), exact for any non-negative declared costs, zero-cost
+// relays included (see core's fast.go).
 type Config struct {
-	// Engine is the replacement-path engine used when a request does
-	// not name one (?engine=fast|naive). The zero value is the
-	// paper's Algorithm 1 fast engine, which assumes strictly
-	// positive declared costs; deployments with zero-cost nodes
-	// should select EngineNaive.
-	Engine core.Engine
 	// MaxInFlight bounds concurrently admitted /quote and /update
 	// requests. Excess load is refused immediately with 429 and a
 	// Retry-After hint instead of building an unbounded backlog.
@@ -65,7 +61,6 @@ type Config struct {
 // the daemon binds it to a listener, tests drive ServeHTTP directly.
 type Server struct {
 	n       int
-	engine  core.Engine
 	shardOf []int32 // global node id -> shard index
 	local   []int32 // global node id -> local id within its shard
 	shards  []*shard
@@ -97,7 +92,6 @@ func New(g *graph.NodeGraph, cfg Config) *Server {
 	n := g.N()
 	s := &Server{
 		n:        n,
-		engine:   cfg.Engine,
 		shardOf:  make([]int32, n),
 		local:    make([]int32, n),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
@@ -269,13 +263,12 @@ func httpStatus(code uint8) int {
 }
 
 // resolve is the quote path both planes share past admission and
-// parsing. It serves global ids (src, dst) with engine selector sel
-// from the epoch memo as a KindQuoteResp payload, or returns the
-// refusal, as an error frame's payload, that each plane maps to its
-// wire form. A non-zero pin refuses unless the shard is at that epoch.
+// parsing. It serves global ids (src, dst) from the epoch memo as a
+// KindQuoteResp payload, or returns the refusal, as an error frame's
+// payload, that each plane maps to its wire form. A non-zero pin refuses unless the shard is at that epoch.
 //
 //lint:noalloc the epoch-cached read path of both planes: a warm hit must serve bytes without touching the heap
-func (s *Server) resolve(src, dst int, sel uint8, pin uint64, p *plane) ([]byte, BinaryError) {
+func (s *Server) resolve(src, dst int, pin uint64, p *plane) ([]byte, BinaryError) {
 	if uint(src) >= uint(s.n) || uint(dst) >= uint(s.n) {
 		p.bad.Inc()
 		return nil, BinaryError{Code: ErrCodeBadRequest, Msg: "node id out of range"}
@@ -283,10 +276,6 @@ func (s *Server) resolve(src, dst int, sel uint8, pin uint64, p *plane) ([]byte,
 	if src == dst {
 		p.bad.Inc()
 		return nil, refuseSameEndpoint(src)
-	}
-	engine := s.engine
-	if sel != EngineDefault {
-		engine = core.Engine(sel - EngineFastByte)
 	}
 	if s.shardOf[src] != s.shardOf[dst] {
 		obsNoPath.Inc()
@@ -298,7 +287,7 @@ func (s *Server) resolve(src, dst int, sel uint8, pin uint64, p *plane) ([]byte,
 		obsBinEpochMismatch.Inc()
 		return nil, refuseEpoch(sh.id, snap.epoch, pin)
 	}
-	payload, err := sh.payload(snap, int(s.local[src]), int(s.local[dst]), engine, p.hits, p.misses)
+	payload, err := sh.payload(snap, int(s.local[src]), int(s.local[dst]), p.hits, p.misses)
 	if err != nil {
 		if errors.Is(err, core.ErrNoPath) {
 			obsNoPath.Inc()
@@ -370,13 +359,12 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	sel, err := engineSelector(r.URL.Query().Get("engine"))
-	if err != nil {
+	if e := r.URL.Query().Get("engine"); e != "" && e != "fast" {
 		obsBadRequests.Inc()
-		writeError(w, http.StatusBadRequest, "engine must be fast or naive")
+		writeError(w, http.StatusBadRequest, "engine must be fast")
 		return
 	}
-	payload, ref := s.resolve(src, dst, sel, 0, &httpPlane)
+	payload, ref := s.resolve(src, dst, 0, &httpPlane)
 	if ref.Code != 0 {
 		writeError(w, httpStatus(ref.Code), ref.Msg)
 		return

@@ -129,14 +129,16 @@ func TestQuoteBadRequests(t *testing.T) {
 	}
 }
 
+// TestQuoteEngineParam: the daemon serves one engine, so naming it
+// and leaving ?engine= out answer with the same bytes.
 func TestQuoteEngineParam(t *testing.T) {
 	g := twoIslands()
 	s := New(g, Config{})
 	defer s.Drain()
 	fast := decodeQuote(t, doReq(t, s, "GET", "/quote?src=0&dst=2&engine=fast", ""))
-	naive := decodeQuote(t, doReq(t, s, "GET", "/quote?src=0&dst=2&engine=naive", ""))
-	if string(fast.Quote) != string(naive.Quote) {
-		t.Errorf("engines disagree:\n  fast  %s\n  naive %s", fast.Quote, naive.Quote)
+	def := decodeQuote(t, doReq(t, s, "GET", "/quote?src=0&dst=2", ""))
+	if string(fast.Quote) != string(def.Quote) {
+		t.Errorf("?engine=fast and the default disagree:\n  fast    %s\n  default %s", fast.Quote, def.Quote)
 	}
 }
 
@@ -174,17 +176,6 @@ func TestQuoteCacheServesIdenticalBytes(t *testing.T) {
 	}
 	if h := snap.Histograms["serve.dest_table_build_ns"]; h.Count != 1 {
 		t.Errorf("dest_table_build_ns count = %d, want 1", h.Count)
-	}
-	// The naive engine reads no table, so it builds none.
-	obs.Reset()
-	for i := 0; i < 2; i++ {
-		if rec := doReq(t, s, "GET", "/quote?src=0&dst=2&engine=naive", ""); rec.Code != http.StatusOK {
-			t.Fatalf("naive quote: status %d", rec.Code)
-		}
-	}
-	snap = obs.Default.Snapshot()
-	if got := snap.Counters["serve.dest_tables_built"]; got != 0 {
-		t.Errorf("naive dest_tables_built = %d, want 0", got)
 	}
 }
 

@@ -55,25 +55,25 @@ type snapshot struct {
 
 // nodeCache holds one local node's lazily built state for the
 // lifetime of a snapshot: the memo of quotes served with the node as
-// source, and the fast engine's table with the node as target. The
-// table is built by the first fast miss toward the node and shared by
-// every later one in the epoch, since it depends only on the epoch's
-// costs and the target.
+// source, and the table with the node as target. The table is built
+// by the first miss toward the node and shared by every later one in
+// the epoch, since it depends only on the epoch's costs and the
+// target.
 type nodeCache struct {
-	// memo maps the int64 key engine<<32|target to the pre-serialized
+	// memo maps the target, as an int64 key, to the pre-serialized
 	// binary KindQuoteResp payload: shard id, epoch, then the quote
 	// JSON. The HTTP plane serves payload[binaryQuoteHeadLen:], so
 	// both planes serve one allocation per key per epoch and their
 	// byte identity holds by construction.
 	memo sync.Map
-	// all holds every local source's fast quote toward the node, from
-	// one core.AllUnicastQuotes pass. Fast misses read it on epochs
+	// all holds every local source's quote toward the node, from
+	// one core.AllUnicastQuotes pass. Misses read it on epochs
 	// whose costs are exact (graph.CostQuantum negotiates), where the
 	// pass equals core.Solver's fast quote bit for bit.
 	all atomic.Pointer[[]*core.Quote]
 	// toward is the destination tree rooted at the node
 	// (core.Solver.DestTable, 16n bytes), whose distances Algorithm 1
-	// reads as R(v). Fast misses read it on continuous-cost epochs.
+	// reads as R(v). Misses read it on continuous-cost epochs.
 	toward atomic.Pointer[sp.Tree]
 }
 
@@ -165,49 +165,44 @@ func table[T any](p *atomic.Pointer[T], build func() *T) *T {
 	return p.Load()
 }
 
-// localQuote computes the shard-local quote for (ls, lt) on snap. A
-// fast quote on exact costs is ls's entry of the epoch's all-sources
-// table toward lt; a fast quote on continuous costs is one
-// QuoteIntoToward run on the epoch's destination tree toward lt; a
-// naive quote reads no table.
-func (sh *shard) localQuote(snap *snapshot, ls, lt int, engine core.Engine) (*core.Quote, error) {
-	var toward *sp.Tree
-	if engine == core.EngineFast {
-		nc := &snap.node[lt]
-		if _, exact := snap.g.CostQuantum(); exact {
-			all := table(&nc.all, func() *[]*core.Quote {
-				all := core.AllUnicastQuotes(snap.g, lt)
-				return &all
-			})
-			// A shard is one connected component, so every source
-			// other than lt has an entry.
-			return (*all)[ls], nil
-		}
-		toward = table(&nc.toward, func() *sp.Tree { return sh.solver.DestTable(snap.g, lt) })
+// localQuote computes the shard-local quote for (ls, lt) on snap. On
+// exact costs it is ls's entry of the epoch's all-sources table toward
+// lt; on continuous costs it is one fast-engine QuoteIntoToward run on
+// the epoch's destination tree toward lt.
+func (sh *shard) localQuote(snap *snapshot, ls, lt int) (*core.Quote, error) {
+	nc := &snap.node[lt]
+	if _, exact := snap.g.CostQuantum(); exact {
+		all := table(&nc.all, func() *[]*core.Quote {
+			all := core.AllUnicastQuotes(snap.g, lt)
+			return &all
+		})
+		// A shard is one connected component, so every source other
+		// than lt has an entry.
+		return (*all)[ls], nil
 	}
+	toward := table(&nc.toward, func() *sp.Tree { return sh.solver.DestTable(snap.g, lt) })
 	q := new(core.Quote)
-	if err := sh.solver.QuoteIntoToward(q, snap.g, ls, lt, engine, toward); err != nil {
+	if err := sh.solver.QuoteIntoToward(q, snap.g, ls, lt, core.EngineFast, toward); err != nil {
 		return nil, err
 	}
 	return q, nil
 }
 
-// payload serves the memoized payload for (engine, ls, lt) on snap,
+// payload serves the memoized payload for (ls, lt) on snap,
 // counting the lookup against the calling plane's hit/miss counters.
 // Repeated requests within an epoch are served the identical bytes:
 // the hit path is one sync.Map probe and performs no heap allocation
 // (the int64 key boxes on the stack because Load does not retain it).
 //
 //lint:noalloc the memo probe under Server.resolve's hit path
-func (sh *shard) payload(snap *snapshot, ls, lt int, engine core.Engine, hits, misses *obs.Counter) ([]byte, error) {
+func (sh *shard) payload(snap *snapshot, ls, lt int, hits, misses *obs.Counter) ([]byte, error) {
 	memo := &snap.node[ls].memo
-	key := int64(engine)<<32 | int64(lt)
-	if v, ok := memo.Load(key); ok {
+	if v, ok := memo.Load(int64(lt)); ok {
 		hits.Inc()
 		return v.([]byte), nil
 	}
 	misses.Inc()
-	return sh.fill(snap, memo, ls, lt, engine, key)
+	return sh.fill(snap, memo, ls, lt)
 }
 
 // fill runs the mechanism on the first request for a key in an epoch
@@ -220,12 +215,12 @@ func (sh *shard) payload(snap *snapshot, ls, lt int, engine core.Engine, hits, m
 //
 // Outlined from payload with //go:noinline: LoadOrStore retains its
 // boxed key and the payload is a fresh allocation by design — once
-// per (engine, source, target) per epoch — and folding either back
+// per (source, target) per epoch — and folding either back
 // into payload would put heap traffic on the annotated hit path.
 //
 //go:noinline
-func (sh *shard) fill(snap *snapshot, memo *sync.Map, ls, lt int, engine core.Engine, key int64) ([]byte, error) {
-	local, err := sh.localQuote(snap, ls, lt, engine)
+func (sh *shard) fill(snap *snapshot, memo *sync.Map, ls, lt int) ([]byte, error) {
+	local, err := sh.localQuote(snap, ls, lt)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +248,7 @@ func (sh *shard) fill(snap *snapshot, memo *sync.Map, ls, lt int, engine core.En
 		Epoch: snap.epoch,
 		Quote: body,
 	})
-	if v, loaded := memo.LoadOrStore(key, payload); loaded {
+	if v, loaded := memo.LoadOrStore(int64(lt), payload); loaded {
 		// A concurrent filler won the store; serve its copy so every
 		// response for this key aliases one allocation.
 		return v.([]byte), nil

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"truthroute/internal/core"
 )
 
 // This file defines the binary quote protocol: the length-prefixed,
@@ -60,7 +58,7 @@ const (
 // Error codes carried by KindError payloads.
 const (
 	// ErrCodeBadRequest rejects an out-of-range node id, src == dst,
-	// or an unknown engine selector.
+	// or an engine selector other than EngineDefault or EngineFastByte.
 	ErrCodeBadRequest = 0x01
 	// ErrCodeNoPath reports an unreachable (src, dst) pair — the
 	// binary twin of the HTTP 404.
@@ -86,27 +84,15 @@ const (
 // length prefix cannot drive a huge allocation.
 const MaxFramePayload = 1 << 24
 
-// Engine selector bytes in BinaryRequest.Engine.
+// Engine selector bytes in BinaryRequest.Engine. The daemon serves
+// one engine, the paper's Algorithm 1, so both bytes select it; any
+// other byte is refused with ErrCodeBadRequest.
 const (
-	// EngineDefault defers to the engine the daemon was started with.
+	// EngineDefault leaves the engine to the daemon.
 	EngineDefault = 0x00
-	// EngineFastByte pins the paper's Algorithm 1 fast engine.
+	// EngineFastByte names the Algorithm 1 fast engine.
 	EngineFastByte = 0x01
-	// EngineNaiveByte pins the per-link replacement-path engine.
-	EngineNaiveByte = 0x02
 )
-
-// engineSelector maps an engine name as -engine flags and ?engine=
-// spell it to its selector byte: "" defers to the daemon's default,
-// any other name goes through core.ParseEngine. The pinning bytes
-// follow core.Engine's order.
-func engineSelector(name string) (uint8, error) {
-	if name == "" {
-		return EngineDefault, nil
-	}
-	e, err := core.ParseEngine(name)
-	return EngineFastByte + uint8(e), err
-}
 
 // BinaryRequest is the KindQuoteReq payload. Field declaration order
 // is wire order (big-endian fixed-width fields, 17 bytes total).
@@ -198,7 +184,7 @@ func DecodeBinaryRequest(payload []byte) (BinaryRequest, error) {
 	q.Dst = binary.BigEndian.Uint32(payload[4:8])
 	q.Engine = payload[8]
 	q.PinEpoch = binary.BigEndian.Uint64(payload[9:17])
-	if q.Engine > EngineNaiveByte {
+	if q.Engine > EngineFastByte {
 		return q, fmt.Errorf("serve: wire: unknown engine selector %d", q.Engine)
 	}
 	return q, nil
@@ -206,7 +192,7 @@ func DecodeBinaryRequest(payload []byte) (BinaryRequest, error) {
 
 // EncodeBinaryQuote appends the KindQuoteResp payload of q to dst in
 // declaration order. The server never calls this on the hot path —
-// shards pre-serialize the payload once per (engine, source, target)
+// shards pre-serialize the payload once per (source, target)
 // per epoch (shard.fill) — but the encoder is the executable
 // specification the memo builder and the tests hold themselves to.
 func EncodeBinaryQuote(dst []byte, q *BinaryQuote) []byte {

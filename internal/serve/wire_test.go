@@ -11,7 +11,7 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 	for _, req := range []BinaryRequest{
 		{Src: 0, Dst: 1},
 		{Src: 3, Dst: 7, Engine: EngineFastByte},
-		{Src: 1 << 30, Dst: 9, Engine: EngineNaiveByte, PinEpoch: 1<<63 + 5},
+		{Src: 1 << 30, Dst: 9, Engine: EngineDefault, PinEpoch: 1<<63 + 5},
 	} {
 		payload := EncodeBinaryRequest(nil, &req)
 		if len(payload) != binaryRequestLen {
@@ -104,9 +104,11 @@ func TestDecodePayloadsMalformed(t *testing.T) {
 		t.Error("long quote request decoded")
 	}
 	bad := EncodeBinaryRequest(nil, &BinaryRequest{Src: 0, Dst: 1})
-	bad[8] = 9 // engine selector past EngineNaiveByte
-	if _, err := DecodeBinaryRequest(bad); err == nil {
-		t.Error("unknown engine selector decoded")
+	for _, sel := range []byte{0x02, 9} { // only 0x00 and 0x01 are served
+		bad[8] = sel
+		if _, err := DecodeBinaryRequest(bad); err == nil {
+			t.Errorf("engine selector %#02x decoded", sel)
+		}
 	}
 	if _, err := DecodeBinaryQuote(make([]byte, binaryQuoteHeadLen-1)); err == nil {
 		t.Error("short quote response decoded")

@@ -197,15 +197,16 @@ stage_serve() {
     # served quote byte-identical to a direct solver run on the
     # response's epoch) plain and under the race detector, plus the
     # allocation gates on the shard compute path and the memo miss,
-    # then the quantized differential and the all-sources table build
-    # race under -race (the race test ten times over). Then a
+    # then the quantized and zero-cost differentials and the
+    # all-sources table build race under -race (the race test ten
+    # times over). Then a
     # real daemon serves a netgen topology over TCP, survives a short
     # quoteload smoke with zero transport errors, and drains cleanly
     # on SIGTERM.
     ( set -x
       go test ./internal/serve/ -count=1
       go test ./internal/serve/ -race -count=1 \
-        -run 'TestServeDifferentialVsSolver|TestServeDifferentialQuantized|TestServeSnapshotConsistencyUnderRace|TestServeCrashMidBatchRestart'
+        -run 'TestServeDifferentialVsSolver|TestServeDifferentialQuantized|TestServeDifferentialZeroCost|TestServeSnapshotConsistencyUnderRace|TestServeCrashMidBatchRestart'
       go test ./internal/serve/ -race -count=10 -run 'TestAllSourcesTableBuildRace' )
 
     start_daemon serve
