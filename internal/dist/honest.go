@@ -168,16 +168,6 @@ func (h *HonestNode) citesEvicted(fh int, path []int) bool {
 	return false
 }
 
-// nbCost returns the relaying cost of a neighbour in distance
-// calculations; the access point terminates routes and relays
-// nothing.
-func (h *HonestNode) nbCost(j int) float64 {
-	if j == h.net.Dest {
-		return 0
-	}
-	return h.net.Cost(j)
-}
-
 // Step implements Behavior.
 func (h *HonestNode) Step(round int, inbox []Message) []Message {
 	var out []Message
@@ -311,7 +301,7 @@ func (h *HonestNode) handleStage1(inbox []Message) []Message {
 				h.dirty = true
 			}
 			// Standard relaxation through j.
-			if cand := a.D + h.nbCost(j); cand < h.st.D-priceEps {
+			if cand := a.D + h.net.w(h.self, j); cand < h.st.D-priceEps {
 				h.adoptVia(j, a)
 			}
 		}
@@ -349,7 +339,7 @@ func (h *HonestNode) handleStage1(inbox []Message) []Message {
 			h.correctionStreak[j] = 0
 			continue
 		}
-		myOffer := h.st.D + h.net.Cost(h.self)
+		myOffer := h.st.D + h.net.w(j, h.self)
 		if prev, ok := h.pendingOffer[j]; !ok || math.Abs(prev-myOffer) > priceEps {
 			// A different instruction starts a fresh epoch.
 			h.pendingOffer[j] = myOffer
@@ -367,7 +357,7 @@ func (h *HonestNode) handleStage1(inbox []Message) []Message {
 			continue
 		}
 		out = append(out, Message{From: h.self, To: j, Correct: &Correction{
-			D:    h.st.D + h.net.Cost(h.self),
+			D:    myOffer,
 			Path: slices.Clone(h.st.Path),
 		}})
 	}
@@ -409,10 +399,10 @@ func (h *HonestNode) inconsistent(j int) bool {
 	if !ok || math.IsInf(h.st.D, 1) || j == h.net.Dest {
 		return false
 	}
-	myOffer := h.st.D + h.net.Cost(h.self)
+	myOffer := h.st.D + h.net.w(j, h.self)
 	if h.nbFH[j] == h.self {
 		// Case 2: we are j's first hop; its distance must be exactly
-		// ours plus our cost.
+		// ours plus the weight of its arc to us.
 		return math.Abs(dj-myOffer) > priceEps
 	}
 	// Case 1: we can offer j a strictly better route.
@@ -420,7 +410,7 @@ func (h *HonestNode) inconsistent(j int) bool {
 }
 
 func (h *HonestNode) adoptVia(j int, a *SPTAnnounce) {
-	h.st.D = a.D + h.nbCost(j)
+	h.st.D = a.D + h.net.w(h.self, j)
 	h.st.FH = j
 	if a.Path != nil {
 		h.st.Path = append([]int{h.self}, a.Path...)
@@ -556,7 +546,7 @@ func (h *HonestNode) candidateVia(j, k int) float64 {
 			return Inf
 		}
 	}
-	base := h.nbCost(j) + dj - h.st.D
+	base := h.net.w(h.self, j) + dj - h.st.D
 	if j != h.net.Dest && h.onNeighbourPath(j, k) {
 		pa := h.lastAnnounced[j]
 		if pa == nil {
@@ -575,7 +565,7 @@ func (h *HonestNode) candidateVia(j, k int) float64 {
 		}
 		return pjk + base
 	}
-	return h.net.Cost(k) + base
+	return h.net.relayCost(k, h.st.Path) + base
 }
 
 // relaxAll recomputes every entry from current knowledge. The
@@ -674,14 +664,14 @@ func (h *HonestNode) handleStage2(inbox []Message) []Message {
 				continue
 			}
 			var exp float64
-			base := h.net.Cost(h.self) + h.st.D - dj
+			base := h.net.w(j, h.self) + h.st.D - dj
 			if myP, onMine := h.st.Prices[k]; onMine {
 				if math.IsInf(myP, 1) {
 					continue // our own entry not yet resolved
 				}
 				exp = myP + base
 			} else {
-				exp = h.net.Cost(k) + base
+				exp = h.net.relayCost(k, h.nbPath[j]) + base
 			}
 			if pa.Prices[k] < exp-1e-6 {
 				if h.net.FaultsEnabled() || len(h.accused) > 0 || h.net.accusationsLive() {

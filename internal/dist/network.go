@@ -19,6 +19,10 @@
 //
 //	p_i^k = min(p_i^k, (k ∈ P(j,0) ? p_j^k : c_k) + c_j + c(j,0) − c(i,0))
 //
+// In the §III.F link model (linknet.go) the same protocol runs over
+// arc weights: c_j becomes w(i,j) and the off-path c_k becomes
+// w(k, next_k), k's declared weight towards its successor.
+//
 // Prices decrease monotonically and converge to the centralized VCG
 // payments within at most n rounds. Algorithm 2's second stage makes
 // every broadcast carry the *trigger* neighbour that produced the
@@ -227,16 +231,22 @@ type frame struct {
 	arq  bool
 }
 
-// Network wires Behaviors over an undirected node-weighted topology
-// and runs synchronous rounds. By default every message takes one
-// round; SetAsync introduces bounded random per-message delays over
-// FIFO channels, and SetFaults layers deterministic loss,
-// duplication and crash injection (faults.go) under an ARQ repair
-// layer.
+// Network wires Behaviors over an undirected topology and runs
+// synchronous rounds. The relaxation runs over the §III.C arc weights
+// w(i,j): c_j in the node model, the declared weight of arc i→j in
+// the §III.F link model (NewLinkNetwork), where G carries only the
+// radio adjacency. By default every message takes one round;
+// SetAsync introduces bounded random per-message delays over FIFO
+// channels, and SetFaults layers deterministic loss, duplication and
+// crash injection (faults.go) under an ARQ repair layer.
 type Network struct {
 	G     *graph.NodeGraph
 	Dest  int // the access point (v_0)
 	Nodes []Behavior
+
+	// link holds the declared arc weights in the link model; nil in
+	// the node model.
+	link *graph.LinkGraph
 
 	// pending[r] holds frames to deliver at round r (per target).
 	pending map[int]map[int][]frame
@@ -456,6 +466,33 @@ func (n *Network) ReDeclare(v int, cost float64) {
 // Cost returns node v's declared cost (public knowledge once
 // declared).
 func (n *Network) Cost(v int) float64 { return n.G.Cost(v) }
+
+// w is the §III.C weight of arc i→j: c_j in the node model (the
+// access point relays nothing), the declared weight of arc i→j in the
+// link model.
+func (n *Network) w(i, j int) float64 {
+	if n.link != nil {
+		return n.link.Weight(i, j)
+	}
+	if j == n.Dest {
+		return 0
+	}
+	return n.G.Cost(j)
+}
+
+// relayCost is relay k's declared cost on path, the first term of its
+// payment: c_k in the node model, w(k, next_k) in the link model
+// (+Inf when k is not an interior node of path).
+func (n *Network) relayCost(k int, path []int) float64 {
+	if n.link == nil {
+		return n.G.Cost(k)
+	}
+	i := slices.Index(path, k)
+	if i <= 0 || i+1 >= len(path) {
+		return Inf
+	}
+	return n.link.Weight(k, path[i+1])
+}
 
 // Neighbors returns v's neighbour set as the protocol sees it: once
 // eviction is armed, evicted nodes vanish from every view (the

@@ -385,7 +385,7 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 	}
 
 	if opt.Distributed {
-		checkDistributed(res, g, dest, batch, opt)
+		checkDistributed(res, g, lg, dest, batch, allLink, opt)
 	}
 	return res
 }
@@ -642,8 +642,9 @@ func checkTruthfulness(res *Result, g *graph.NodeGraph, s, t int) {
 
 // checkDistributed runs Algorithm 2 (optionally under a fault plan)
 // and holds its converged per-node prices to exact agreement with the
-// centralized batch engine.
-func checkDistributed(res *Result, g *graph.NodeGraph, dest int, batch []*core.Quote, opt Options) {
+// centralized batch engine; the same protocol over the link embedding
+// lg is held to the centralized link quotes allLink.
+func checkDistributed(res *Result, g *graph.NodeGraph, lg *graph.LinkGraph, dest int, batch, allLink []*core.Quote, opt Options) {
 	if !g.Connected() {
 		res.skipped("dist-disconnected")
 		return
@@ -656,6 +657,7 @@ func checkDistributed(res *Result, g *graph.NodeGraph, dest int, batch []*core.Q
 	if maxRounds == 0 {
 		maxRounds = 600*g.N() + 20000
 	}
+	checkDistributedLink(res, lg, dest, allLink, maxRounds, opt.Tol)
 	net := dist.NewNetwork(g, dest, nil)
 	if opt.Faults != nil {
 		net.SetFaults(opt.Faults)
@@ -675,31 +677,55 @@ func checkDistributed(res *Result, g *graph.NodeGraph, dest int, batch []*core.Q
 			continue
 		}
 		st := states[s]
-		if !agree(st.D, q.Cost, opt.Tol) {
-			res.violate(name, s, dest, -1, "converged distance %g, centralized %g", st.D, q.Cost)
-			continue
-		}
-		if !samePath(st.Path, q.Path) && !agree(pathCostOr(g, st.Path), q.Cost, opt.Tol) {
-			res.violate(name, s, dest, -1, "converged path %v is not a least cost path", st.Path)
-			continue
-		}
-		if !samePath(st.Path, q.Path) {
-			res.skipped("tie")
-			continue
-		}
-		if k, ok := paymentsAgree(st.Prices, q.Payments, opt.Tol); !ok {
-			res.violate(name, s, dest, k,
-				"converged price %g, centralized %g", st.Prices[k], q.Payments[k])
-		}
+		checkConverged(res, name, q, st.D, st.Path, st.Prices, g.PathCost, opt.Tol)
 	}
 }
 
-// pathCostOr evaluates a claimed path's interior cost, +Inf when the
-// path is not a valid walk.
-func pathCostOr(g *graph.NodeGraph, path []int) float64 {
-	c, err := g.PathCost(path)
-	if err != nil {
-		return math.Inf(1)
+// checkDistributedLink runs the §III.F link model through Algorithm
+// 2 (honest, reliable channels) and holds its converged quotes to the
+// centralized link quotes. Both distances include the source's own
+// first hop, the c_s term of the link embedding.
+func checkDistributedLink(res *Result, lg *graph.LinkGraph, dest int, allLink []*core.Quote, maxRounds int, tol float64) {
+	const name = "distributed-link"
+	net := dist.NewLinkNetwork(lg, dest)
+	res.check(name)
+	if net.Run(maxRounds) >= maxRounds {
+		res.violate(name, -1, dest, -1, "protocol did not quiesce within %d rounds", maxRounds)
+		return
 	}
-	return c
+	for s, ref := range allLink {
+		if s == dest || ref == nil {
+			continue
+		}
+		q := net.Quote(s)
+		if q == nil {
+			res.violate(name, s, dest, -1, "no converged route, centralized cost %g", ref.Cost)
+			continue
+		}
+		checkConverged(res, name, ref, q.Dist, q.Path, q.Payments, lg.PathCost, tol)
+	}
+}
+
+// checkConverged holds one source's converged protocol state to the
+// centralized quote ref: the distance, a least cost path (a different
+// one of equal cost under pathCost is a tie), and on ref's own path
+// every price.
+func checkConverged(res *Result, name string, ref *core.Quote, d float64, path []int, prices map[int]float64,
+	pathCost func([]int) (float64, error), tol float64) {
+	if !agree(d, ref.Cost, tol) {
+		res.violate(name, ref.Source, ref.Target, -1, "converged distance %g, centralized %g", d, ref.Cost)
+		return
+	}
+	if !samePath(path, ref.Path) {
+		if c, err := pathCost(path); err != nil || !agree(c, ref.Cost, tol) {
+			res.violate(name, ref.Source, ref.Target, -1, "converged path %v is not a least cost path", path)
+			return
+		}
+		res.skipped("tie")
+		return
+	}
+	if k, ok := paymentsAgree(prices, ref.Payments, tol); !ok {
+		res.violate(name, ref.Source, ref.Target, k,
+			"converged price %g, centralized %g", prices[k], ref.Payments[k])
+	}
 }
