@@ -1,8 +1,8 @@
 // Command truthlint is the project's static-analysis gate: it
 // type-checks the module with only the standard library (go/parser,
-// go/types) and runs the mechanism-invariant analyzers described in
-// DESIGN.md §8 — determinism, floatcmp, ctcompare, panicpolicy,
-// errcheck, wireorder.
+// go/types) and runs the eleven analyzers described in DESIGN.md §8
+// and §13 — atomicmix, ctcompare, determinism, errcheck, floatcmp,
+// goroleak, noalloc, panicpolicy, snapshotimmut, testonly, wireorder.
 //
 // Usage:
 //

@@ -4,6 +4,10 @@
 // uploads a 50-packet session: the mechanism quotes a strategyproof
 // price, the packet is signed, the access point acknowledges, and
 // the ledger settles per-packet payments into every relay's account.
+// The same student then retrieves a download: each relay signs an
+// acknowledgement after forwarding, and only acknowledged relays are
+// credited (§III.H's downlink). Settlement only moves money between
+// accounts, so the ledger's total is the same before and after.
 package main
 
 import (
@@ -37,6 +41,7 @@ func main() {
 	// clearing happens there against signed traffic.
 	keys := auth.NewKeyring(students)
 	book := ledger.New(keys, 0, 1_000_000)
+	opening := book.TotalCirculating()
 
 	// Quote every laptop's route at once (the §III.C batch engine).
 	quotes := core.AllLinkQuotes(net, 0)
@@ -72,6 +77,27 @@ func main() {
 	if err := book.SettleUplink(pkt2, forged, q, 1); err != nil {
 		fmt.Println("\nfree-riding attempt rejected:", err)
 	}
+
+	// The student downloads the results along the reversed path. The
+	// relay nearest the access point forwards but never acknowledges,
+	// so it is not credited and the student is not charged for it.
+	relays := q.Relays()
+	silent := relays[len(relays)-1]
+	var acks []auth.Ack
+	for _, k := range relays {
+		if k != silent {
+			acks = append(acks, auth.NewAck(keys[k], k, src, 3, 0))
+		}
+	}
+	before := book.Balance(src)
+	unacked, err := book.SettleDownlink(3, q, acks, packets)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nstudent %d downloads %d packets: charged %.0f, relays %v unacknowledged (not paid)\n",
+		src, packets, before-book.Balance(src), unacked)
+	fmt.Printf("money in circulation: %.0f before, %.0f after every settlement\n",
+		opening, book.TotalCirculating())
 }
 
 // pickSource returns a source with at least two relays, preferring

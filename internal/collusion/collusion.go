@@ -14,7 +14,6 @@ import (
 
 	"truthroute/internal/core"
 	"truthroute/internal/graph"
-	"truthroute/internal/mechanism"
 )
 
 // TwoNodeCuts returns all unordered pairs {a, b} (endpoints excluded)
@@ -46,16 +45,6 @@ func TwoNodeCuts(g *graph.NodeGraph, s, t int) [][2]int {
 		}
 	}
 	return out
-}
-
-// CoalitionUtility sums the true-cost utilities of a coalition under
-// a quote computed from some declared profile.
-func CoalitionUtility(q *core.Quote, coalition []int, trueCosts []float64) float64 {
-	u := 0.0
-	for _, k := range coalition {
-		u += mechanism.Utility(q, k, trueCosts[k])
-	}
-	return u
 }
 
 // Resale describes one profitable §III.H resale deal: Source's
@@ -129,31 +118,4 @@ func FindResale(g *graph.NodeGraph, source, dest int, engine core.Engine) ([]Res
 		return out[i].Via < out[j].Via
 	})
 	return out, nil
-}
-
-// ScanResale runs FindResale for every node (except dest) and
-// returns all deals found across the network, most profitable first.
-func ScanResale(g *graph.NodeGraph, dest int, engine core.Engine) []Resale {
-	var out []Resale
-	for i := 0; i < g.N(); i++ {
-		if i == dest {
-			continue
-		}
-		deals, err := FindResale(g, i, dest, engine)
-		if err != nil {
-			continue
-		}
-		out = append(out, deals...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		//lint:allow floatcmp exact tie-break keeps the comparator a transitive total order; an epsilon here would not
-		if out[i].Savings != out[j].Savings {
-			return out[i].Savings > out[j].Savings
-		}
-		if out[i].Source != out[j].Source {
-			return out[i].Source < out[j].Source
-		}
-		return out[i].Via < out[j].Via
-	})
-	return out
 }

@@ -2,7 +2,9 @@ package collusion
 
 import (
 	"math"
+	"reflect"
 	"testing"
+	"truthroute/internal/mechanism"
 
 	"truthroute/internal/core"
 	"truthroute/internal/graph"
@@ -95,6 +97,29 @@ func TestFindResaleFigure2(t *testing.T) {
 	if len(direct) != 0 {
 		t.Errorf("AP-adjacent source found deals: %v", direct)
 	}
+
+	// Deals come most profitable first, equal savings by ascending
+	// Via. Source 6's least cost path 6-1-2-0 costs 2 and each relay's
+	// replacement leaves through 4 or 5 (cost 2.5), so p_6 = 2·1.5 = 3:
+	// reselling through 4 or 5 saves 0.5 each, through 3 (cost 2.75)
+	// 0.25. Neighbours are listed 1, 3, 5, 4, so the order is the
+	// sort's doing.
+	h := graph.NewNodeGraph(7)
+	for _, e := range [][2]int{{6, 1}, {1, 2}, {2, 0}, {6, 3}, {3, 0}, {6, 5}, {5, 0}, {6, 4}, {4, 0}} {
+		h.AddEdge(e[0], e[1])
+	}
+	h.SetCosts([]float64{0, 1, 1, 2.75, 2.5, 2.5, 1})
+	deals, err = FindResale(h, 6, 0, core.EngineNaive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Resale
+	for _, d := range deals {
+		got = append(got, Resale{Via: d.Via, Savings: d.Savings})
+	}
+	if want := []Resale{{Via: 4, Savings: 0.5}, {Via: 5, Savings: 0.5}, {Via: 3, Savings: 0.25}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("deal order (via, savings) = %v, want %v", got, want)
+	}
 }
 
 func TestFindResaleMonopolyError(t *testing.T) {
@@ -105,28 +130,20 @@ func TestFindResaleMonopolyError(t *testing.T) {
 	if _, err := FindResale(g, 2, 0, core.EngineNaive); err == nil {
 		t.Error("monopoly-facing source should error")
 	}
-}
-
-func TestScanResaleOrdersBySavings(t *testing.T) {
-	g := graph.Figure4()
-	deals := ScanResale(g, 0, core.EngineFast)
-	if len(deals) == 0 {
-		t.Fatal("scan found nothing on Figure 4")
-	}
-	for i := 1; i < len(deals); i++ {
-		if deals[i].Savings > deals[i-1].Savings {
-			t.Fatal("deals not sorted by savings")
+	// On the chain 0-1-2-3 every source behind relay 1 faces a
+	// monopoly and is refused; 1 itself pays nothing and has no deal.
+	h := graph.NewNodeGraph(4)
+	h.AddEdge(0, 1)
+	h.AddEdge(1, 2)
+	h.AddEdge(2, 3)
+	h.SetCosts([]float64{0, 2, 2, 0})
+	for _, src := range []int{2, 3} {
+		if deals, err := FindResale(h, src, 0, core.EngineNaive); err == nil {
+			t.Errorf("monopoly-facing source %d not refused: %v", src, deals)
 		}
 	}
-	// The paper's 8-via-4 deal must be among them.
-	found := false
-	for _, d := range deals {
-		if d.Source == 8 && d.Via == 4 && d.Savings == 27 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("scan missed the paper's 8-via-4 deal: %v", deals)
+	if deals, err := FindResale(h, 1, 0, core.EngineNaive); err != nil || len(deals) != 0 {
+		t.Errorf("AP-adjacent source 1: deals %v, err %v; want none, nil", deals, err)
 	}
 }
 
@@ -193,38 +210,12 @@ func TestFindResaleSkipsUnreachableAndMonopolyVias(t *testing.T) {
 	}
 }
 
-// TestScanResaleSkipsMonopolySources: a source whose own quote is
-// unbounded is skipped by the scan without error.
-func TestScanResaleSkipsMonopolySources(t *testing.T) {
-	g := graph.NewNodeGraph(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.SetCosts([]float64{0, 2, 2, 0})
-	deals := ScanResale(g, 0, core.EngineNaive)
-	for _, d := range deals {
-		if d.Savings <= 0 {
-			t.Errorf("non-profitable deal reported: %v", d)
-		}
+// CoalitionUtility sums the true-cost utilities of a coalition under
+// a quote computed from some declared profile.
+func CoalitionUtility(q *core.Quote, coalition []int, trueCosts []float64) float64 {
+	u := 0.0
+	for _, k := range coalition {
+		u += mechanism.Utility(q, k, trueCosts[k])
 	}
-}
-
-// TestScanResaleTieOrdering: equal-savings deals order by source then
-// via.
-func TestScanResaleTieOrdering(t *testing.T) {
-	// Two symmetric sources with identical deals.
-	g := graph.NewNodeGraph(7)
-	// AP 0; relays 1 (cheap) and 2 (expensive) shared; sources 5, 6
-	// each adjacent to both relays and to the cheap forwarder 3.
-	for _, e := range [][2]int{{5, 1}, {6, 1}, {1, 0}, {5, 2}, {6, 2}, {2, 0}, {5, 3}, {6, 3}, {3, 0}} {
-		g.AddEdge(e[0], e[1])
-	}
-	g.SetCosts([]float64{0, 1, 9, 1, 0, 0, 0})
-	deals := ScanResale(g, 0, core.EngineNaive)
-	for i := 1; i < len(deals); i++ {
-		a, b := deals[i-1], deals[i]
-		if a.Savings == b.Savings && (a.Source > b.Source || (a.Source == b.Source && a.Via > b.Via)) {
-			t.Errorf("tie ordering violated: %v before %v", a, b)
-		}
-	}
+	return u
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"truthroute/internal/graph"
@@ -85,6 +86,26 @@ func TestSetQuoteEqualsPlainVCGForSingletons(t *testing.T) {
 		if setq.Payments[k] != p {
 			t.Errorf("node %d: set %v plain %v", k, setq.Payments[k], p)
 		}
+	}
+
+	// A set beyond the singleton moves the payment to the avoiding-set
+	// cost. Three disjoint 0→4 routes through 1, 2, 3 (costs 1, 2, 3);
+	// if 2 colludes with every relay, relay 1's avoiding path is route
+	// 3 at cost 3, against 2 for the plain payment.
+	h := graph.NewNodeGraph(5)
+	for _, e := range [][2]int{{0, 1}, {1, 4}, {0, 2}, {2, 4}, {0, 3}, {3, 4}} {
+		h.AddEdge(e[0], e[1])
+	}
+	h.SetCosts([]float64{0, 1, 2, 3, 0})
+	colluded, err := SetQuote(h, 0, 4, func(k int) []int { return []int{k, 2} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(colluded.Path) != 3 || colluded.Path[1] != 1 || colluded.Cost != 1 {
+		t.Fatalf("LCP = %v cost %v, want via node 1 at cost 1", colluded.Path, colluded.Cost)
+	}
+	if want := map[int]float64{1: 3 - 1 + 1}; !reflect.DeepEqual(colluded.Payments, want) {
+		t.Errorf("payments = %v, want %v", colluded.Payments, want)
 	}
 }
 

@@ -99,8 +99,10 @@ func EdgeVCGQuote(g *graph.EdgeWeighted, s, t int, engine Engine) (*EdgeQuote, e
 //
 // the candidate d_s(u) + w(u,v) + d_t(v) is feasible exactly for
 // i ∈ (pre(u), suf(v)); sweeping i with a lazily-expired min-heap
-// yields all σ replacement costs in O((n + m) log n). Requires
-// unique shortest paths (continuous costs), like Algorithm 1.
+// yields all σ replacement costs in O((n + m) log n). Assumes unique
+// shortest paths (continuous costs). Unlike Algorithm 1, whose
+// exactness under ties and zero costs fast.go's header proves, this
+// engine's assumption has not been settled by argument.
 func edgeReplacementCostsFast(g *graph.EdgeWeighted, s, t int, treeS *sp.Tree) map[[2]int]float64 {
 	path := treeS.PathTo(t)
 	sigma := len(path) - 1 // number of path edges

@@ -156,7 +156,7 @@ func TestQuickEdgeVCGStrategyproof(t *testing.T) {
 			return u
 		}
 		for _, e := range g.Edges() {
-			key := e.Key()
+			key := [2]int{e.U, e.V} // Edges lists U < V
 			truthU := utility(truthQ, key, e.W)
 			for _, f := range []float64{0, 0.5, 0.9, 1.1, 2, 10} {
 				lied := g.WithWeight(e.U, e.V, e.W*f)
@@ -191,12 +191,6 @@ func TestEdgeWeightedBasics(t *testing.T) {
 	}
 	if g.SetWeight(0, 3, 1) {
 		t.Error("SetWeight invented an edge")
-	}
-	if c, err := g.PathCost([]int{0, 2, 3}); err != nil || c != 4 {
-		t.Errorf("PathCost = %v, %v", c, err)
-	}
-	if _, err := g.PathCost([]int{0, 3}); err == nil {
-		t.Error("PathCost accepted a non-edge")
 	}
 	mustPanic := func(desc string, f func()) {
 		t.Helper()

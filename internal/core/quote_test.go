@@ -60,7 +60,7 @@ func TestFigure2Payments(t *testing.T) {
 func TestFigure2LieLowersPayment(t *testing.T) {
 	g := graph.Figure2()
 	lied := g.Clone()
-	e := graph.Figure2LiedEdge()
+	e := figure2LiedEdge()
 	if !lied.RemoveEdge(e[0], e[1]) {
 		t.Fatal("fixture lied edge missing")
 	}
@@ -334,3 +334,6 @@ func TestParseEngine(t *testing.T) {
 		}
 	}
 }
+
+// figure2LiedEdge returns the edge v1 hides in the Figure-2 attack.
+func figure2LiedEdge() [2]int { return [2]int{1, 4} }

@@ -116,16 +116,6 @@ func (u *Underpayer) Step(round int, inbox []Message) []Message {
 	return kept
 }
 
-// CheatedTotal returns what the underpayer would actually pay: its
-// honest entries scaled by Factor.
-func (u *Underpayer) CheatedTotal() float64 {
-	t := 0.0
-	for _, p := range u.State().Prices {
-		t += p * u.Factor
-	}
-	return t
-}
-
 // Overpayer is the inflation mirror of Underpayer: it announces price
 // entries scaled by Factor > 1, overstating what relays are owed to
 // widen its take (a relay that inflates the entries it reports keeps

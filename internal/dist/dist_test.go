@@ -365,3 +365,22 @@ func TestMessageComplexity(t *testing.T) {
 		}
 	}
 }
+
+// CheatedTotal returns what the underpayer would actually pay: its
+// honest entries scaled by Factor.
+func (u *Underpayer) CheatedTotal() float64 {
+	t := 0.0
+	for _, p := range u.State().Prices {
+		t += p * u.Factor
+	}
+	return t
+}
+
+// AccusedSet returns the distinct accused node ids.
+func (n *Network) AccusedSet() map[int]bool {
+	out := map[int]bool{}
+	for _, a := range n.Log {
+		out[a.Offender] = true
+	}
+	return out
+}

@@ -61,17 +61,6 @@ func kindOf(m *Message) int {
 	}
 }
 
-func kindName(k int) string {
-	switch k {
-	case kindSPT:
-		return "spt"
-	case kindPrice:
-		return "price"
-	default:
-		return "correction"
-	}
-}
-
 // GilbertElliott is the classic two-state burst-loss channel: the
 // channel sits in a good or bad state, transitions between them with
 // the given per-transmission probabilities, and drops a frame with
@@ -294,11 +283,6 @@ type FaultStats struct {
 	Retransmissions int
 }
 
-// DroppedData is the total number of lost data frames.
-func (s FaultStats) DroppedData() int {
-	return s.DroppedSPT + s.DroppedPrice + s.DroppedCorrect
-}
-
 func (s FaultStats) String() string {
 	return fmt.Sprintf("dropped %d spt + %d price + %d correction frames, %d acks; %d crash-dropped; %d partition-cut; %d dups injected, %d duplicates discarded; %d retransmissions",
 		s.DroppedSPT, s.DroppedPrice, s.DroppedCorrect, s.DroppedAcks,
@@ -415,11 +399,6 @@ func (n *Network) SetFaults(p *FaultPlan) {
 
 // FaultsEnabled reports whether a fault plan is installed.
 func (n *Network) FaultsEnabled() bool { return n.faults != nil }
-
-// Crashed reports whether node v is currently down.
-func (n *Network) Crashed(v int) bool {
-	return n.faults != nil && n.faults.crashed[v]
-}
 
 // dropFrame draws the channel's verdict for one transmission on the
 // directed channel from→to, advancing the Gilbert–Elliott state when

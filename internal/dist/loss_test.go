@@ -406,3 +406,8 @@ func TestRunReportsNonConvergence(t *testing.T) {
 		t.Fatal("Run reported convergence with a dead node still being corrected")
 	}
 }
+
+// DroppedData is the total number of lost data frames.
+func (s FaultStats) DroppedData() int {
+	return s.DroppedSPT + s.DroppedPrice + s.DroppedCorrect
+}

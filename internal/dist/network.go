@@ -196,7 +196,8 @@ type Behavior interface {
 	// computation.
 	StartStage2()
 	// Refresh drops back to stage 1 and forces a re-announcement —
-	// how the network reacts to a changed declaration (ReDeclare).
+	// how the network reacts to a changed declaration (the tests'
+	// ReDeclare) and to an eviction.
 	Refresh()
 	// Evict informs the node that offender was removed by quorum
 	// (eviction.go): it must purge offender from its topology view and
@@ -448,20 +449,6 @@ func priceCheatKind(kind string) bool {
 // announcements, price updates, corrections and accusations were
 // delivered. Useful with disttrace -roundlog.
 func (n *Network) SetTrace(w io.Writer) { n.trace = w }
-
-// ReDeclare changes node v's declared cost mid-run and drops every
-// node back to stage 1. Distance *increases* propagate through
-// Algorithm 2's case-2 corrections (a first hop is authoritative for
-// its children), decreases through ordinary relaxation; rerun
-// RunProtocol afterwards to reconverge both stages. Stage-2 prices
-// are reset because the relaxation is monotone and cannot track a
-// cost increase in place.
-func (n *Network) ReDeclare(v int, cost float64) {
-	n.G.SetCost(v, cost)
-	for _, b := range n.Nodes {
-		b.Refresh()
-	}
-}
 
 // Cost returns node v's declared cost (public knowledge once
 // declared).
@@ -803,15 +790,6 @@ func (n *Network) States() []*NodeState {
 	out := make([]*NodeState, len(n.Nodes))
 	for i, b := range n.Nodes {
 		out[i] = b.State()
-	}
-	return out
-}
-
-// AccusedSet returns the distinct accused node ids.
-func (n *Network) AccusedSet() map[int]bool {
-	out := map[int]bool{}
-	for _, a := range n.Log {
-		out[a.Offender] = true
 	}
 	return out
 }

@@ -109,3 +109,17 @@ func TestQuickReDeclareRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ReDeclare changes node v's declared cost mid-run and drops every
+// node back to stage 1. Distance *increases* propagate through
+// Algorithm 2's case-2 corrections (a first hop is authoritative for
+// its children), decreases through ordinary relaxation; rerun
+// RunProtocol afterwards to reconverge both stages. Stage-2 prices
+// are reset because the relaxation is monotone and cannot track a
+// cost increase in place.
+func (n *Network) ReDeclare(v int, cost float64) {
+	n.G.SetCost(v, cost)
+	for _, b := range n.Nodes {
+		b.Refresh()
+	}
+}

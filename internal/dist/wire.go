@@ -218,6 +218,8 @@ func (r *wireReader) path(what string) []int {
 // EncodeMessage. Malformed input of any kind — truncation, unknown
 // tags, out-of-range ids, NaN floats, unsorted or duplicate price
 // entries, trailing garbage — returns an error; no input panics.
+//
+//lint:allow testonly fuzzed decoder of the dist wire, driven by the dist and serve fuzz targets
 func DecodeMessage(data []byte) (*Message, error) {
 	r := &wireReader{data: data}
 	if v := r.u8(); r.err == nil && v != wireVersion {

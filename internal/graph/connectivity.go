@@ -49,87 +49,13 @@ func (g *NodeGraph) ConnectedWithout(s, t int, cut []int) bool {
 	return g.ReachableFrom(s, banned)[t]
 }
 
-// ArticulationPoints returns the cut vertices of g via an iterative
-// Tarjan low-link DFS, in increasing id order. A graph with no
-// articulation points and ≥ 3 connected nodes is biconnected, which
-// is the paper's standing assumption (it prevents any single relay
-// from holding a monopoly over the access point).
-func (g *NodeGraph) ArticulationPoints() []int {
-	n := g.N()
-	disc := make([]int, n) // discovery time, 0 = unvisited
-	low := make([]int, n)  // low-link value
-	isArt := make([]bool, n)
-	timer := 0
-
-	// Explicit DFS stack frame: node, parent, index into adjacency.
-	type frame struct {
-		v, parent, i, children int
-	}
-	for root := 0; root < n; root++ {
-		if disc[root] != 0 {
-			continue
-		}
-		stack := []frame{{v: root, parent: -1}}
-		timer++
-		disc[root], low[root] = timer, timer
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.i < len(g.adj[f.v]) {
-				w := g.adj[f.v][f.i]
-				f.i++
-				if disc[w] == 0 {
-					f.children++
-					timer++
-					disc[w], low[w] = timer, timer
-					stack = append(stack, frame{v: w, parent: f.v})
-				} else if w != f.parent && disc[w] < low[f.v] {
-					low[f.v] = disc[w] // back edge
-				}
-				continue
-			}
-			// Post-order: propagate low-link to parent.
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				p := &stack[len(stack)-1]
-				if low[f.v] < low[p.v] {
-					low[p.v] = low[f.v]
-				}
-				if p.parent != -1 && low[f.v] >= disc[p.v] {
-					isArt[p.v] = true
-				}
-			}
-			if f.parent == -1 && f.children >= 2 {
-				isArt[f.v] = true
-			}
-		}
-	}
-	var out []int
-	for v, a := range isArt {
-		if a {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// IsBiconnected reports whether g is connected and free of
-// articulation points (with the convention that graphs on fewer than
-// 3 nodes are biconnected iff connected).
-func (g *NodeGraph) IsBiconnected() bool {
-	if !g.Connected() {
-		return false
-	}
-	if g.N() < 3 {
-		return true
-	}
-	return len(g.ArticulationPoints()) == 0
-}
-
 // NeighborhoodConnected reports whether removing N(v_k) ∪ {v_k}
 // leaves s and t connected for every candidate relay v_k. This is
 // the standing assumption of the neighbour-collusion-resistant scheme
 // p̃ (§III.E): "graph G \ N(v_k) is connected for any node v_k".
 // Nodes equal to s or t are never removed.
+//
+//lint:allow testonly §III.E assumption check shared by the graph, core and mechanism tests
 func (g *NodeGraph) NeighborhoodConnected(s, t int) bool {
 	for k := 0; k < g.N(); k++ {
 		if k == s || k == t {
@@ -141,34 +67,4 @@ func (g *NodeGraph) NeighborhoodConnected(s, t int) bool {
 		}
 	}
 	return true
-}
-
-// StronglyReachable returns the set of nodes from which t is
-// reachable in the directed graph following arcs forward, i.e. the
-// nodes that can route to t. Arcs with +Inf weight are treated as
-// absent.
-func (g *LinkGraph) StronglyReachable(t int) []bool {
-	// Walk the reverse graph from t.
-	rev := make([][]int, g.N())
-	for u, arcs := range g.out {
-		for _, a := range arcs {
-			if a.W < Inf {
-				rev[a.To] = append(rev[a.To], u)
-			}
-		}
-	}
-	seen := make([]bool, g.N())
-	seen[t] = true
-	stack := []int{t}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range rev[u] {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return seen
 }

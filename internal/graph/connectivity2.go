@@ -102,6 +102,8 @@ func (g *NodeGraph) VertexConnectivity(s, t int) int {
 // than the s-t vertex connectivity (q = 0 means even one node holds
 // a monopoly). The p̃ scheme needs q ≥ |N(v_k)| for every relay's
 // neighbourhood; Q-set schemes need q ≥ max |Q(v_k)|.
+//
+//lint:allow testonly test fixture: vertex-connectivity reference for the graph and root-package tests
 func (g *NodeGraph) CollusionResilience(s, t int) int {
 	k := g.VertexConnectivity(s, t)
 	if k == 0 {

@@ -25,11 +25,6 @@ func (c *CSR) Neighbors(v int) []int32 {
 	return c.Targets[c.Offsets[v]:c.Offsets[v+1]]
 }
 
-// Degree reports the number of neighbours of v.
-func (c *CSR) Degree(v int) int {
-	return int(c.Offsets[v+1] - c.Offsets[v])
-}
-
 // csrBox holds the lazily built CSR behind an atomic pointer so
 // concurrent readers (e.g. a pooled Solver fanning one topology across
 // workers) may race to build it without locking: every build of the

@@ -85,3 +85,8 @@ func TestCSRCloneIsolated(t *testing.T) {
 		t.Fatal("clone shares adjacency with the original")
 	}
 }
+
+// Degree reports the number of neighbours of v.
+func (c *CSR) Degree(v int) int {
+	return int(c.Offsets[v+1] - c.Offsets[v])
+}

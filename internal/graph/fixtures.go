@@ -26,9 +26,6 @@ func Figure2() *NodeGraph {
 	return g
 }
 
-// Figure2LiedEdge returns the edge v1 hides in the Figure-2 attack.
-func Figure2LiedEdge() [2]int { return [2]int{1, 4} }
-
 // Figure4 returns the §III.H "resale the path" example, scaled by a
 // factor of 3 so every quantity stays integral. In the paper's
 // units the example has p_8 = 20, p_4 = 6, p_8^4 = 0 and c_4 = 5;

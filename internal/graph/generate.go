@@ -18,17 +18,6 @@ func Ring(n int) *NodeGraph {
 	return g
 }
 
-// Complete returns the complete graph K_n.
-func Complete(n int) *NodeGraph {
-	g := NewNodeGraph(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddEdge(i, j)
-		}
-	}
-	return g
-}
-
 // Grid returns the rows×cols grid graph (node r*cols+c), biconnected
 // for rows, cols ≥ 2.
 func Grid(rows, cols int) *NodeGraph {
@@ -87,6 +76,8 @@ func RandomBiconnected(n int, p float64, rng *rand.Rand) *NodeGraph {
 // prohibitive at the 10^5–10^6 node scale the SSSP scaling
 // benchmarks run; this generator only ever touches the edges it
 // creates. Requires deg ≥ 2 (the ring) and n ≥ 3.
+//
+//lint:allow testonly sparse-graph generator for the graph tests and the root package's SSSP benchmarks
 func RandomSparse(n int, deg float64, rng *rand.Rand) *NodeGraph {
 	if deg < 2 {
 		panic(fmt.Sprintf("graph: RandomSparse needs deg >= 2, got %g", deg))
@@ -117,6 +108,8 @@ func (g *NodeGraph) RandomizeCosts(lo, hi float64, rng *rand.Rand) {
 
 // RandomLinkGraph returns a directed graph where each ordered pair
 // carries an arc with probability p and uniform weight in [lo, hi).
+//
+//lint:allow testonly random link-model fixture for the core, mechanism and sp tests
 func RandomLinkGraph(n int, p, lo, hi float64, rng *rand.Rand) *LinkGraph {
 	g := NewLinkGraph(n)
 	for i := 0; i < n; i++ {

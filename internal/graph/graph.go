@@ -125,9 +125,6 @@ func (g *NodeGraph) HasEdge(u, v int) bool {
 // returned slice is owned by the graph and must not be modified.
 func (g *NodeGraph) Neighbors(v int) []int { return g.adj[v] }
 
-// Degree reports the number of neighbors of v.
-func (g *NodeGraph) Degree(v int) int { return len(g.adj[v]) }
-
 // Clone returns a deep copy of the graph.
 func (g *NodeGraph) Clone() *NodeGraph {
 	c := NewNodeGraph(g.N())

@@ -364,3 +364,93 @@ func TestNeighborhoodConnected(t *testing.T) {
 		t.Error("three disjoint paths should satisfy the N(v_k) assumption")
 	}
 }
+
+// ArticulationPoints returns the cut vertices of g via an iterative
+// Tarjan low-link DFS, in increasing id order. A graph with no
+// articulation points and ≥ 3 connected nodes is biconnected, which
+// is the paper's standing assumption (it prevents any single relay
+// from holding a monopoly over the access point).
+func (g *NodeGraph) ArticulationPoints() []int {
+	n := g.N()
+	disc := make([]int, n) // discovery time, 0 = unvisited
+	low := make([]int, n)  // low-link value
+	isArt := make([]bool, n)
+	timer := 0
+
+	// Explicit DFS stack frame: node, parent, index into adjacency.
+	type frame struct {
+		v, parent, i, children int
+	}
+	for root := 0; root < n; root++ {
+		if disc[root] != 0 {
+			continue
+		}
+		stack := []frame{{v: root, parent: -1}}
+		timer++
+		disc[root], low[root] = timer, timer
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			if f.i < len(g.adj[f.v]) {
+				w := g.adj[f.v][f.i]
+				f.i++
+				if disc[w] == 0 {
+					f.children++
+					timer++
+					disc[w], low[w] = timer, timer
+					stack = append(stack, frame{v: w, parent: f.v})
+				} else if w != f.parent && disc[w] < low[f.v] {
+					low[f.v] = disc[w] // back edge
+				}
+				continue
+			}
+			// Post-order: propagate low-link to parent.
+			stack = stack[:len(stack)-1]
+			if len(stack) > 0 {
+				p := &stack[len(stack)-1]
+				if low[f.v] < low[p.v] {
+					low[p.v] = low[f.v]
+				}
+				if p.parent != -1 && low[f.v] >= disc[p.v] {
+					isArt[p.v] = true
+				}
+			}
+			if f.parent == -1 && f.children >= 2 {
+				isArt[f.v] = true
+			}
+		}
+	}
+	var out []int
+	for v, a := range isArt {
+		if a {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// IsBiconnected reports whether g is connected and free of
+// articulation points (with the convention that graphs on fewer than
+// 3 nodes are biconnected iff connected).
+func (g *NodeGraph) IsBiconnected() bool {
+	if !g.Connected() {
+		return false
+	}
+	if g.N() < 3 {
+		return true
+	}
+	return len(g.ArticulationPoints()) == 0
+}
+
+// Complete returns the complete graph K_n.
+func Complete(n int) *NodeGraph {
+	g := NewNodeGraph(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			g.AddEdge(i, j)
+		}
+	}
+	return g
+}
+
+// Degree reports the number of neighbors of v.
+func (g *NodeGraph) Degree(v int) int { return len(g.adj[v]) }

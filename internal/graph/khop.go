@@ -6,6 +6,8 @@ package graph
 // neighbour-collusion-resistant payment; larger k instantiates the
 // generalized Q(v_k) scheme of §III.E for coalitions that span
 // several hops.
+//
+//lint:allow testonly k-hop collusion-set fixture for the graph, core and mechanism tests
 func (g *NodeGraph) KHopNeighborhood(v, k int) []int {
 	if k < 0 {
 		panic("graph: negative hop count")

@@ -100,40 +100,12 @@ func (g *LinkGraph) HasArc(u, v int) bool {
 // slice is owned by the graph and must not be modified.
 func (g *LinkGraph) Out(u int) []Arc { return g.out[u] }
 
-// OutWeights returns a copy of u's declared out-cost vector as a map
-// from head to weight; this is the agent's declared type d_u.
-func (g *LinkGraph) OutWeights(u int) map[int]float64 {
-	m := make(map[int]float64, len(g.out[u]))
-	for _, a := range g.out[u] {
-		m[a.To] = a.W
-	}
-	return m
-}
-
 // Clone returns a deep copy.
 func (g *LinkGraph) Clone() *LinkGraph {
 	c := NewLinkGraph(g.N())
 	for u, a := range g.out {
 		c.out[u] = append([]Arc(nil), a...)
 	}
-	return c
-}
-
-// WithNodeSilenced returns a copy of the graph in which node v's
-// *out*-arcs all have weight +Inf. This is how §III.F computes the
-// v-avoiding least cost path: "to calculate the least cost
-// v_k-avoiding-path, we set d_{k,j} = ∞ for each node v_j". Arcs
-// *into* v keep their weights but lead nowhere useful, which is
-// equivalent to removing the node for s→t paths that would have to
-// leave v again.
-func (g *LinkGraph) WithNodeSilenced(v int) *LinkGraph {
-	c := &LinkGraph{out: make([][]Arc, g.N())}
-	copy(c.out, g.out)
-	silenced := append([]Arc(nil), g.out[v]...)
-	for i := range silenced {
-		silenced[i].W = Inf
-	}
-	c.out[v] = silenced
 	return c
 }
 

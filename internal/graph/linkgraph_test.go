@@ -238,3 +238,61 @@ func TestEdgeWeightedJSONRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// StronglyReachable returns the set of nodes from which t is
+// reachable in the directed graph following arcs forward, i.e. the
+// nodes that can route to t. Arcs with +Inf weight are treated as
+// absent.
+func (g *LinkGraph) StronglyReachable(t int) []bool {
+	// Walk the reverse graph from t.
+	rev := make([][]int, g.N())
+	for u, arcs := range g.out {
+		for _, a := range arcs {
+			if a.W < Inf {
+				rev[a.To] = append(rev[a.To], u)
+			}
+		}
+	}
+	seen := make([]bool, g.N())
+	seen[t] = true
+	stack := []int{t}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, v := range rev[u] {
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
+			}
+		}
+	}
+	return seen
+}
+
+// OutWeights returns a copy of u's declared out-cost vector as a map
+// from head to weight; this is the agent's declared type d_u.
+func (g *LinkGraph) OutWeights(u int) map[int]float64 {
+	m := make(map[int]float64, len(g.out[u]))
+	for _, a := range g.out[u] {
+		m[a.To] = a.W
+	}
+	return m
+}
+
+// WithNodeSilenced returns a copy of the graph in which node v's
+// *out*-arcs all have weight +Inf. This is how §III.F computes the
+// v-avoiding least cost path: "to calculate the least cost
+// v_k-avoiding-path, we set d_{k,j} = ∞ for each node v_j". Arcs
+// *into* v keep their weights but lead nowhere useful, which is
+// equivalent to removing the node for s→t paths that would have to
+// leave v again.
+func (g *LinkGraph) WithNodeSilenced(v int) *LinkGraph {
+	c := &LinkGraph{out: make([][]Arc, g.N())}
+	copy(c.out, g.out)
+	silenced := append([]Arc(nil), g.out[v]...)
+	for i := range silenced {
+		silenced[i].W = Inf
+	}
+	c.out[v] = silenced
+	return c
+}

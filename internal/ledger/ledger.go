@@ -78,9 +78,6 @@ func New(kr auth.Keyring, ap int, initialBalance float64) *Ledger {
 // Balance returns a node's current account balance.
 func (l *Ledger) Balance(node int) float64 { return l.balances[node] }
 
-// Log returns the audit trail.
-func (l *Ledger) Log() []Entry { return l.log }
-
 // quoteTotal validates a quote for settlement and returns its total.
 func quoteTotal(q *core.Quote, packets int) (float64, error) {
 	if packets <= 0 {
@@ -177,11 +174,18 @@ func (l *Ledger) SettleDownlink(session uint64, q *core.Quote, acks []auth.Ack, 
 
 // TotalCirculating returns the sum of all balances; settlement only
 // moves money between accounts, so this is invariant — a property
-// the tests rely on.
+// the tests rely on. It sums in account order: float addition is not
+// associative, so a map-order sum could differ in its last bits from
+// one call to the next.
 func (l *Ledger) TotalCirculating() float64 {
+	nodes := make([]int, 0, len(l.balances))
+	for v := range l.balances {
+		nodes = append(nodes, v)
+	}
+	sort.Ints(nodes)
 	t := 0.0
-	for _, b := range l.balances {
-		t += b
+	for _, v := range nodes {
+		t += l.balances[v]
 	}
 	return t
 }

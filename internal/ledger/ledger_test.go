@@ -160,3 +160,22 @@ func TestSettleDownlinkPartialAcks(t *testing.T) {
 		t.Errorf("source charged %v, want only the acked relay's 2", 100-got)
 	}
 }
+
+// Log returns the audit trail.
+func (l *Ledger) Log() []Entry { return l.log }
+
+// TestTotalCirculatingIsOrderFree: with balances that are not exact
+// binary fractions, the total must come out bit-identical on every
+// call, whatever order the account map iterates in.
+func TestTotalCirculatingIsOrderFree(t *testing.T) {
+	l := New(auth.NewKeyring(60), 0, 1.0/3)
+	for v := range l.balances {
+		l.balances[v] += 0.1 * float64(v)
+	}
+	want := math.Float64bits(l.TotalCirculating())
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(l.TotalCirculating()); got != want {
+			t.Fatalf("call %d: total bits %#x, want %#x", i, got, want)
+		}
+	}
+}

@@ -58,6 +58,7 @@ var Analyzers = []*Analyzer{
 	NoAlloc,
 	PanicPolicy,
 	SnapshotImmut,
+	Testonly,
 	WireOrder,
 }
 

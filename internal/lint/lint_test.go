@@ -26,8 +26,13 @@ var repoModule = sync.OnceValues(func() (*Module, error) {
 	// with their in-package tests, so TestModuleIsClean enforces the
 	// same surface verify.sh does.
 	m.IncludeTests(TestScanDirs...)
+	// The testonly fixture's test file loads too, so its golden run
+	// shows that uses from a _test.go do not count.
+	m.IncludeTests(testonlyFixture)
 	return m, nil
 })
+
+const testonlyFixture = "internal/lint/testdata/testonly"
 
 func mustModule(t *testing.T) *Module {
 	t.Helper()
@@ -133,6 +138,7 @@ func TestGolden(t *testing.T) {
 		{"panicpolicy", []*Analyzer{PanicPolicy}},
 		{"panicmain", []*Analyzer{PanicPolicy}},
 		{"snapshotimmut", []*Analyzer{SnapshotImmut}},
+		{"testonly", []*Analyzer{Testonly}},
 		{"wireorder", []*Analyzer{WireOrder}},
 		// The allow fixture tests the hygiene pseudo-analyzer, which
 		// runs unconditionally; determinism supplies the suppressible

@@ -33,6 +33,7 @@ type Module struct {
 	loading  map[string]bool     // import-cycle detection
 	testDirs map[string]bool     // dirs whose in-package _test.go files load too
 	escapes  map[string][]escapeDiag
+	live     *liveIndex // testonly's reference index, built on first use
 }
 
 // TestScanDirs lists the packages whose in-package _test.go files are

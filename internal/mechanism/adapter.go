@@ -20,10 +20,3 @@ func NeighborhoodVCG(s, t int) Mechanism {
 		return core.NeighborhoodQuote(declared, s, t)
 	}
 }
-
-// SetVCG returns the generalized Q(v_k)-avoiding mechanism.
-func SetVCG(s, t int, avoid func(k int) []int) Mechanism {
-	return func(declared *graph.NodeGraph) (*core.Quote, error) {
-		return core.SetQuote(declared, s, t, avoid)
-	}
-}

@@ -2,8 +2,6 @@ package mechanism
 
 import (
 	"fmt"
-
-	"truthroute/internal/graph"
 )
 
 // CoalitionViolation records a profitable joint deviation by a
@@ -19,67 +17,4 @@ type CoalitionViolation struct {
 func (v CoalitionViolation) String() string {
 	return fmt.Sprintf("coalition %v: declaring %v raises joint utility %g -> %g",
 		v.Members, v.Decls, v.TruthJoint, v.LieJoint)
-}
-
-// VerifyCoalitionGrid tries every combination of per-member
-// deviations from grid (plus each member's truth) for one coalition
-// and reports the profitable joint lies. The search is exhaustive
-// over the grid, so it is exponential in the coalition size; callers
-// should keep coalitions small (≤ 4 with the default grids) — enough
-// to exhibit Theorem 7's impossibility and to validate p̃ beyond
-// pairs.
-func VerifyCoalitionGrid(trueG *graph.NodeGraph, s, t int, m Mechanism, members []int, grid func(c float64) []float64) ([]CoalitionViolation, error) {
-	truthQ, err := m(trueG)
-	if err != nil {
-		return nil, fmt.Errorf("mechanism: truthful run: %w", err)
-	}
-	for _, k := range members {
-		if k == s || k == t {
-			return nil, fmt.Errorf("mechanism: coalition member %d is an endpoint", k)
-		}
-	}
-	truthJoint := 0.0
-	options := make([][]float64, len(members))
-	for i, k := range members {
-		ck := trueG.Cost(k)
-		truthJoint += Utility(truthQ, k, ck)
-		options[i] = append(grid(ck), ck)
-	}
-	var out []CoalitionViolation
-	decls := make([]float64, len(members))
-	var walk func(i int, anyLie bool)
-	walk = func(i int, anyLie bool) {
-		if i == len(members) {
-			if !anyLie {
-				return
-			}
-			g := trueG.WithCosts(trueG.Costs())
-			for j, k := range members {
-				g.SetCost(k, decls[j])
-			}
-			lieQ, err := m(g)
-			lieJoint := 0.0
-			if err == nil {
-				for _, k := range members {
-					lieJoint += Utility(lieQ, k, trueG.Cost(k))
-				}
-			}
-			if lieJoint > truthJoint+epsilon {
-				out = append(out, CoalitionViolation{
-					Members:    append([]int(nil), members...),
-					Decls:      append([]float64(nil), decls...),
-					TruthJoint: truthJoint,
-					LieJoint:   lieJoint,
-				})
-			}
-			return
-		}
-		for _, d := range options[i] {
-			decls[i] = d
-			//lint:allow floatcmp the declaration grid includes the true cost verbatim, so exact match identifies the truthful cell
-			walk(i+1, anyLie || d != trueG.Cost(members[i]))
-		}
-	}
-	walk(0, false)
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"fmt"
 	"testing"
 
 	"truthroute/internal/core"
@@ -115,5 +116,76 @@ func TestCoalitionGridRejectsEndpoints(t *testing.T) {
 	m := VCG(0, tgt, core.EngineNaive)
 	if _, err := VerifyCoalitionGrid(g, 0, tgt, m, []int{0, 1}, DeviationGrid); err == nil {
 		t.Error("endpoint member accepted")
+	}
+}
+
+// VerifyCoalitionGrid tries every combination of per-member
+// deviations from grid (plus each member's truth) for one coalition
+// and reports the profitable joint lies. The search is exhaustive
+// over the grid, so it is exponential in the coalition size; callers
+// should keep coalitions small (≤ 4 with the default grids) — enough
+// to exhibit Theorem 7's impossibility and to validate p̃ beyond
+// pairs.
+func VerifyCoalitionGrid(trueG *graph.NodeGraph, s, t int, m Mechanism, members []int, grid func(c float64) []float64) ([]CoalitionViolation, error) {
+	truthQ, err := m(trueG)
+	if err != nil {
+		return nil, fmt.Errorf("mechanism: truthful run: %w", err)
+	}
+	for _, k := range members {
+		if k == s || k == t {
+			return nil, fmt.Errorf("mechanism: coalition member %d is an endpoint", k)
+		}
+	}
+	truthJoint := 0.0
+	options := make([][]float64, len(members))
+	for i, k := range members {
+		ck := trueG.Cost(k)
+		truthJoint += Utility(truthQ, k, ck)
+		options[i] = append(grid(ck), ck)
+	}
+	var out []CoalitionViolation
+	decls := make([]float64, len(members))
+	var walk func(i int, anyLie bool)
+	walk = func(i int, anyLie bool) {
+		if i == len(members) {
+			if !anyLie {
+				return
+			}
+			g := trueG.WithCosts(trueG.Costs())
+			for j, k := range members {
+				g.SetCost(k, decls[j])
+			}
+			lieQ, err := m(g)
+			lieJoint := 0.0
+			if err == nil {
+				for _, k := range members {
+					lieJoint += Utility(lieQ, k, trueG.Cost(k))
+				}
+			}
+			if lieJoint > truthJoint+epsilon {
+				out = append(out, CoalitionViolation{
+					Members:    append([]int(nil), members...),
+					Decls:      append([]float64(nil), decls...),
+					TruthJoint: truthJoint,
+					LieJoint:   lieJoint,
+				})
+			}
+			return
+		}
+		for _, d := range options[i] {
+			decls[i] = d
+			// The declaration grid includes the true cost verbatim, so
+			// an exact match identifies the truthful cell.
+			walk(i+1, anyLie || d != trueG.Cost(members[i]))
+		}
+	}
+	walk(0, false)
+	return out, nil
+}
+
+// SetVCG returns the generalized Q(v_k)-avoiding mechanism.
+func SetVCG(s, t int, avoid func(k int) []int) Mechanism {
+	return func(declared *graph.NodeGraph) (*core.Quote, error) {
+		return core.SetQuote(declared, s, t, avoid)
 	}
 }

@@ -118,25 +118,6 @@ func VerifyStrategyproof(trueG *graph.NodeGraph, s, t int, m Mechanism) ([]Viola
 	return out, nil
 }
 
-// VerifyIndividualRationality checks that under truthful declaration
-// every node's utility is ≥ 0, returning offending nodes.
-func VerifyIndividualRationality(trueG *graph.NodeGraph, s, t int, m Mechanism) ([]int, error) {
-	q, err := m(trueG)
-	if err != nil {
-		return nil, err
-	}
-	var bad []int
-	for k := 0; k < trueG.N(); k++ {
-		if k == s || k == t {
-			continue
-		}
-		if Utility(q, k, trueG.Cost(k)) < -epsilon {
-			bad = append(bad, k)
-		}
-	}
-	return bad, nil
-}
-
 // PairViolation records a profitable joint lie by two colluders:
 // their summed utility rises, which is what Definition 1's 2-agent
 // strategyproofness forbids (side payments let them share the gain).
@@ -162,13 +143,6 @@ func (v PairViolation) String() string {
 // TestTheorem8CaveatUnderreporting and EXPERIMENTS.md.
 func OverreportGrid(c float64) []float64 {
 	return []float64{c * 1.05, c * 1.25, c * 2, c * 5, c * 20, c + 0.1, c + 1, c + 100}
-}
-
-// VerifyPairCollusion tries every joint deviation from DeviationGrid
-// on the given pairs (including one-sided ones) and reports
-// profitable collusions.
-func VerifyPairCollusion(trueG *graph.NodeGraph, s, t int, m Mechanism, pairs [][2]int) ([]PairViolation, error) {
-	return VerifyPairCollusionGrid(trueG, s, t, m, pairs, DeviationGrid)
 }
 
 // VerifyPairCollusionGrid is VerifyPairCollusion with a custom
@@ -222,18 +196,6 @@ func NeighborPairs(g *graph.NodeGraph) [][2]int {
 			if u < v {
 				out = append(out, [2]int{u, v})
 			}
-		}
-	}
-	return out
-}
-
-// AllPairs enumerates every unordered node pair — the structure
-// Theorem 7 proves *no* LCP mechanism can defend against.
-func AllPairs(n int) [][2]int {
-	var out [][2]int
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			out = append(out, [2]int{u, v})
 		}
 	}
 	return out

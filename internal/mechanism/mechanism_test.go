@@ -266,3 +266,41 @@ func TestVerifyIRPropagatesError(t *testing.T) {
 		t.Error("unreachable truthful run should error")
 	}
 }
+
+// VerifyIndividualRationality checks that under truthful declaration
+// every node's utility is ≥ 0, returning offending nodes.
+func VerifyIndividualRationality(trueG *graph.NodeGraph, s, t int, m Mechanism) ([]int, error) {
+	q, err := m(trueG)
+	if err != nil {
+		return nil, err
+	}
+	var bad []int
+	for k := 0; k < trueG.N(); k++ {
+		if k == s || k == t {
+			continue
+		}
+		if Utility(q, k, trueG.Cost(k)) < -epsilon {
+			bad = append(bad, k)
+		}
+	}
+	return bad, nil
+}
+
+// VerifyPairCollusion tries every joint deviation from DeviationGrid
+// on the given pairs (including one-sided ones) and reports
+// profitable collusions.
+func VerifyPairCollusion(trueG *graph.NodeGraph, s, t int, m Mechanism, pairs [][2]int) ([]PairViolation, error) {
+	return VerifyPairCollusionGrid(trueG, s, t, m, pairs, DeviationGrid)
+}
+
+// AllPairs enumerates every unordered node pair — the structure
+// Theorem 7 proves *no* LCP mechanism can defend against.
+func AllPairs(n int) [][2]int {
+	var out [][2]int
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			out = append(out, [2]int{u, v})
+		}
+	}
+	return out
+}

@@ -25,7 +25,6 @@ import (
 
 	"truthroute/internal/core"
 	"truthroute/internal/graph"
-	"truthroute/internal/sp"
 )
 
 // Policy is a node's forwarding rule.
@@ -244,10 +243,3 @@ func (s *Sim) Run(sessions, packetsPerSession int, rng *rand.Rand) float64 {
 // forwarding minus energy spent forwarding — guaranteed non-negative
 // for truthful relays under Compensated (individual rationality).
 func (s *Sim) NetProfit(v int) float64 { return s.EarnedRelay[v] - s.SpentRelay[v] }
-
-// Hops returns the unweighted hop distance of every node to the
-// access point on the *initial* topology (for reporting).
-func (s *Sim) Hops() []int {
-	und := s.g.Symmetrized(make([]float64, s.g.N()))
-	return sp.HopDistances(und, s.dest)
-}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math/rand/v2"
 	"testing"
+	"truthroute/internal/sp"
 
 	"truthroute/internal/graph"
 	"truthroute/internal/wireless"
@@ -195,4 +196,11 @@ func TestHops(t *testing.T) {
 			t.Errorf("hops[%d] = %d, want %d", i, h[i], w)
 		}
 	}
+}
+
+// Hops returns the unweighted hop distance of every node to the
+// access point on the *initial* topology (for reporting).
+func (s *Sim) Hops() []int {
+	und := s.g.Symmetrized(make([]float64, s.g.N()))
+	return sp.HopDistances(und, s.dest)
 }

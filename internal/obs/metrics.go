@@ -14,9 +14,6 @@ type Counter struct {
 	v    atomic.Uint64
 }
 
-// Name returns the registered metric name.
-func (c *Counter) Name() string { return c.name }
-
 // Inc adds one.
 //
 //lint:noalloc instrumentation on the serving hot path must be free when the layer is off
@@ -42,9 +39,6 @@ type Gauge struct {
 	v    atomic.Int64
 }
 
-// Name returns the registered metric name.
-func (g *Gauge) Name() string { return g.name }
-
 // Set stores v.
 //
 //lint:noalloc instrumentation on the serving hot path must be free when the layer is off
@@ -53,18 +47,6 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	g.v.Store(v)
-}
-
-// Add adds delta and returns the new level (0 while disabled), so
-// occupancy call sites can feed the result straight into a peak
-// tracker without a second load.
-//
-//lint:noalloc instrumentation on the serving hot path must be free when the layer is off
-func (g *Gauge) Add(delta int64) int64 {
-	if !enabled.Load() {
-		return 0
-	}
-	return g.v.Add(delta)
 }
 
 // SetMax raises the gauge to v if v exceeds the current level — a
@@ -118,9 +100,6 @@ func newHistogram(name string, bounds []float64) *Histogram {
 	}
 }
 
-// Name returns the registered metric name.
-func (h *Histogram) Name() string { return h.name }
-
 // Observe records one value.
 //
 //lint:noalloc instrumentation on the serving hot path must be free when the layer is off
@@ -137,15 +116,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Sum returns the sum of all observed values.
@@ -171,19 +141,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	for i := range b {
 		b[i] = v
 		v *= factor
-	}
-	return b
-}
-
-// LinearBuckets returns n evenly spaced upper bounds: start,
-// start+width, start+2·width, ….
-func LinearBuckets(start, width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("obs: LinearBuckets wants width > 0, n >= 1")
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = start + float64(i)*width
 	}
 	return b
 }

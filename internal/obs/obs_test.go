@@ -305,3 +305,44 @@ func TestConcurrentRecording(t *testing.T) {
 		t.Errorf("histogram sum = %g, want %g", h.Sum(), wantSum)
 	}
 }
+
+// Name returns the registered metric name.
+func (c *Counter) Name() string { return c.name }
+
+// Name returns the registered metric name.
+func (g *Gauge) Name() string { return g.name }
+
+// Add adds delta and returns the new level (0 while disabled), so
+// occupancy call sites can feed the result straight into a peak
+// tracker without a second load.
+func (g *Gauge) Add(delta int64) int64 {
+	if !enabled.Load() {
+		return 0
+	}
+	return g.v.Add(delta)
+}
+
+// Name returns the registered metric name.
+func (h *Histogram) Name() string { return h.name }
+
+// Count returns the total number of observations.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// LinearBuckets returns n evenly spaced upper bounds: start,
+// start+width, start+2·width, ….
+func LinearBuckets(start, width float64, n int) []float64 {
+	if width <= 0 || n < 1 {
+		panic("obs: LinearBuckets wants width > 0, n >= 1")
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = start + float64(i)*width
+	}
+	return b
+}

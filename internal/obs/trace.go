@@ -58,9 +58,6 @@ func (t *Trace) Start(capacity int) {
 // Stop disables emission; recorded events remain readable.
 func (t *Trace) Stop() { t.on.Store(false) }
 
-// Enabled reports whether the trace is recording.
-func (t *Trace) Enabled() bool { return t.on.Load() }
-
 // Reset discards all recorded events (and keeps the enabled state).
 func (t *Trace) Reset() {
 	t.mu.Lock()
@@ -79,14 +76,6 @@ func (t *Trace) Emit(cat string, a, b, c int64) {
 		t.n++
 	}
 	t.mu.Unlock()
-}
-
-// Total returns the number of events emitted since Start, including
-// any the ring has already overwritten.
-func (t *Trace) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
 }
 
 // Events returns the retained events oldest-first.
@@ -122,8 +111,3 @@ func (t *Trace) WriteJSONLines(w io.Writer) error {
 
 // Emit appends one event to the default trace.
 func Emit(cat string, a, b, c int64) { DefaultTrace.Emit(cat, a, b, c) }
-
-// TraceEnabled reports whether the default trace is recording —
-// instrumentation sites that must compute an event's arguments guard
-// on it.
-func TraceEnabled() bool { return DefaultTrace.Enabled() }

@@ -107,3 +107,19 @@ func TestTraceEnabledPackageLevel(t *testing.T) {
 		t.Fatal("package-level Emit did not reach the default trace")
 	}
 }
+
+// Total returns the number of events emitted since Start, including
+// any the ring has already overwritten.
+func (t *Trace) Total() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
+}
+
+// TraceEnabled reports whether the default trace is recording —
+// instrumentation sites that must compute an event's arguments guard
+// on it.
+func TraceEnabled() bool { return DefaultTrace.Enabled() }
+
+// Enabled reports whether the trace is recording.
+func (t *Trace) Enabled() bool { return t.on.Load() }

@@ -1,3 +1,22 @@
+// Package oracle is the repository's differential-testing backbone:
+// it runs every payment engine — the fast §III.B replacement-path
+// algorithm, the naive per-relay recomputation, the §III.E set-based
+// p̃ mechanism, the §III.F link-weighted model (via a node→link
+// embedding), the §III.C batch recurrence, and the distributed
+// Algorithm 2 (optionally under a seeded fault plan) — over one
+// topology and cross-checks their outputs against each other, against
+// a brute-force path enumeration on small instances, and against the
+// mechanism-design invariants the paper proves: individual
+// rationality, unilateral-deviation truthfulness, and the metamorphic
+// laws (linear payment scaling, relabeling invariance, competitor
+// monotonicity).
+//
+// The package is consumed three ways: per-package tests call
+// CheckInstance directly, oracle_fuzz_test.go feeds it byte-string
+// encoded topologies, and the `unicast-sim -figure
+// oracle` soak campaign (soak.go, internal/experiment) sweeps it over
+// hundreds of random topologies with per-invariant violation
+// counters and minimized counterexample dumps.
 package oracle
 
 import (

@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -357,3 +359,93 @@ func TestSoakDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// DecodeTopology parses the compact byte-string topology encoding
+// used by the FuzzOracle* targets. The format is chosen so that
+// *every* byte string of length ≥ 2 is valid — the fuzzer explores
+// topology space, not parser error paths:
+//
+//	byte 0:        n    = 2 + b₀ mod 63   (2 ≤ n ≤ 64 nodes)
+//	byte 1:        src  = 1 + b₁ mod (n−1); the destination is node 0
+//	bytes 2..n+1:  per-node costs, c_v = b/8 (missing bytes mean 0,
+//	               so zero-cost nodes are reachable by truncation)
+//	rest, pairs:   edges {bᵢ mod n, bᵢ₊₁ mod n}; self-loops and
+//	               duplicates are skipped, an odd trailing byte is
+//	               ignored
+//
+// Disconnected graphs, isolated sources and zero-cost relays are all
+// expressible — CheckInstance must handle them, not the decoder.
+func DecodeTopology(data []byte) (*graph.NodeGraph, int, error) {
+	if len(data) < 2 {
+		return nil, 0, ErrShortInput
+	}
+	n := 2 + int(data[0])%(MaxNodes-1)
+	src := 1 + int(data[1])%(n-1)
+	g := graph.NewNodeGraph(n)
+	for v := 0; v < n; v++ {
+		if 2+v < len(data) {
+			g.SetCost(v, float64(data[2+v])/8)
+		}
+	}
+	for i := 2 + n; i+1 < len(data); i += 2 {
+		u, v := int(data[i])%n, int(data[i+1])%n
+		if u == v || g.HasEdge(u, v) {
+			continue
+		}
+		g.AddEdge(u, v)
+	}
+	return g, src, nil
+}
+
+// EncodeTopology is the inverse of DecodeTopology, used to seed fuzz
+// corpora from named fixtures. Costs are quantized to eighths and
+// clamped to [0, 255/8]; it errors on graphs the encoding cannot
+// represent rather than silently truncating.
+func EncodeTopology(g *graph.NodeGraph, src int) ([]byte, error) {
+	n := g.N()
+	if n < 2 || n > MaxNodes {
+		return nil, fmt.Errorf("oracle: %d nodes outside encodable range [2,%d]", n, MaxNodes)
+	}
+	if src < 1 || src >= n {
+		return nil, fmt.Errorf("oracle: source %d not in [1,%d]", src, n-1)
+	}
+	data := make([]byte, 0, 2+n+2*g.M())
+	data = append(data, byte(n-2), byte(src-1))
+	for v := 0; v < n; v++ {
+		q := math.Round(g.Cost(v) * 8)
+		if q > 255 {
+			return nil, fmt.Errorf("oracle: cost %g of node %d exceeds encodable max %g", g.Cost(v), v, 255.0/8)
+		}
+		data = append(data, byte(q))
+	}
+	for _, e := range g.Edges() {
+		data = append(data, byte(e[0]), byte(e[1]))
+	}
+	return data, nil
+}
+
+// Canonicalize returns a copy of g with costs made strictly positive
+// and generically tie-free: every cost is floored at 1/8 and nudged
+// by a node-indexed golden-ratio fraction scaled to 2⁻¹⁰, so distinct
+// node subsets essentially never sum to equal path costs. The strict
+// cross-engine fuzz target runs the fast engine (which assumes unique
+// shortest paths) on canonicalized instances only; CheckInstance
+// still detects and skips any tie that survives.
+func Canonicalize(g *graph.NodeGraph) *graph.NodeGraph {
+	const phi = 0.6180339887498949
+	costs := g.Costs()
+	for v := range costs {
+		_, frac := math.Modf(float64(v+1) * phi)
+		costs[v] = math.Max(costs[v], 0.125) + frac/1024
+	}
+	return g.WithCosts(costs)
+}
+
+// MaxNodes bounds the decoder: a fuzz input can request at most this
+// many nodes, keeping one CheckInstance call cheap enough to run tens
+// of thousands of times per second.
+const MaxNodes = 64
+
+// ErrShortInput is returned for inputs too short to carry the node
+// count and source bytes.
+var ErrShortInput = errors.New("oracle: topology encoding needs at least 2 bytes")

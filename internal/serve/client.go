@@ -83,11 +83,6 @@ func (c *BinaryClient) send(kind byte, reqid uint32, payload []byte) error {
 	return err
 }
 
-// Flush pushes every buffered request to the wire.
-func (c *BinaryClient) Flush() error {
-	return c.bw.Flush()
-}
-
 // BinaryResult is one response frame as Recv returns it: Kind says
 // which of the three payload fields is meaningful.
 type BinaryResult struct {
@@ -151,6 +146,8 @@ func (c *BinaryClient) Recv() (BinaryResult, error) {
 // response. An ErrCode* refusal comes back as a BinaryError-carrying
 // result, not a Go error — transport and framing failures are the
 // error path.
+//
+//lint:allow testonly the serve and cli tests' unpipelined client
 func (c *BinaryClient) Quote(req *BinaryRequest) (BinaryResult, error) {
 	c.nextID++
 	id := c.nextID

@@ -234,3 +234,8 @@ func TestRunLoadPacedDeadline(t *testing.T) {
 		})
 	}
 }
+
+// Flush pushes every buffered request to the wire.
+func (c *BinaryClient) Flush() error {
+	return c.bw.Flush()
+}

@@ -208,9 +208,9 @@ func TestServeCrashMidBatchRestart(t *testing.T) {
 	// and are not durable.
 	fresh := New(g.WithCosts(durable), Config{})
 	defer fresh.Drain()
-	for _, e := range fresh.Epochs() {
+	for _, e := range epochs(fresh) {
 		if e != 1 {
-			t.Fatalf("restarted epochs = %v, want all 1", fresh.Epochs())
+			t.Fatalf("restarted epochs = %v, want all 1", epochs(fresh))
 		}
 	}
 	for _, p := range pairs {

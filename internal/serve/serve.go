@@ -128,30 +128,6 @@ func (s *Server) N() int { return s.n }
 // NumShards reports the number of connected-component shards.
 func (s *Server) NumShards() int { return len(s.shards) }
 
-// Epochs returns the latest published epoch of every shard, indexed
-// by shard id.
-func (s *Server) Epochs() []uint64 {
-	out := make([]uint64, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.snap.Load().epoch
-	}
-	return out
-}
-
-// Costs assembles the declared-cost vector of the latest published
-// epochs in global node-id order — the authoritative state a
-// restarted daemon reloads (see the crash-restart test).
-func (s *Server) Costs() []float64 {
-	out := make([]float64, s.n)
-	for _, sh := range s.shards {
-		snap := sh.snap.Load()
-		for li, v := range sh.globals {
-			out[v] = snap.g.Cost(li)
-		}
-	}
-	return out
-}
-
 // Drain stops admitting quote and update traffic (new HTTP requests
 // get 503, new binary frames get ErrCodeDraining), waits for every
 // in-flight request to finish, then stops the shard writers, closes

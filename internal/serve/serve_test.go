@@ -61,7 +61,7 @@ func TestServerShardsByComponent(t *testing.T) {
 	if s.N() != 11 {
 		t.Fatalf("N = %d, want 11", s.N())
 	}
-	if got := s.Epochs(); len(got) != 3 || got[0] != 1 || got[1] != 1 || got[2] != 1 {
+	if got := epochs(s); len(got) != 3 || got[0] != 1 || got[1] != 1 || got[2] != 1 {
 		t.Fatalf("initial epochs = %v, want [1 1 1]", got)
 	}
 }
@@ -196,7 +196,7 @@ func TestUpdateBumpsOnlyTouchedShard(t *testing.T) {
 	if len(ur.Shards) != 1 || ur.Shards[0].Shard != 1 || ur.Shards[0].Epoch != 2 {
 		t.Fatalf("update response = %+v, want shard 1 at epoch 2", ur)
 	}
-	if got := s.Epochs(); got[0] != 1 || got[1] != 2 || got[2] != 1 {
+	if got := epochs(s); got[0] != 1 || got[1] != 2 || got[2] != 1 {
 		t.Fatalf("epochs after update = %v, want [1 2 1]", got)
 	}
 
@@ -263,7 +263,7 @@ func TestUpdateRejectedBatchIsAtomic(t *testing.T) {
 			t.Errorf("update %q: status %d, want 400", body, rec.Code)
 		}
 	}
-	if got := s.Epochs(); got[0] != 1 || got[1] != 1 || got[2] != 1 {
+	if got := epochs(s); got[0] != 1 || got[1] != 1 || got[2] != 1 {
 		t.Errorf("rejected batches bumped an epoch: %v", got)
 	}
 	after := s.Costs()
@@ -396,4 +396,28 @@ func TestShardComputeSteadyStateAllocs(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("shard compute path allocates %v times per run in the steady state, want 0", avg)
 	}
+}
+
+// epochs lists the latest published epoch of every shard, indexed by
+// shard id.
+func epochs(s *Server) []uint64 {
+	var out []uint64
+	for _, se := range s.shardEpochs() {
+		out = append(out, se.Epoch)
+	}
+	return out
+}
+
+// Costs assembles the declared-cost vector of the latest published
+// epochs in global node-id order — the authoritative state a
+// restarted daemon reloads (see the crash-restart test).
+func (s *Server) Costs() []float64 {
+	out := make([]float64, s.n)
+	for _, sh := range s.shards {
+		snap := sh.snap.Load()
+		for li, v := range sh.globals {
+			out[v] = snap.g.Cost(li)
+		}
+	}
+	return out
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // This file defines the binary quote protocol: the length-prefixed,
@@ -156,6 +155,8 @@ func putFrameHeader(hdr *[FrameHeaderLen]byte, kind byte, reqid uint32, payloadL
 }
 
 // AppendFrame appends one complete frame (header + payload) to dst.
+//
+//lint:allow testonly frame encoder of the out-of-module _truthbench client
 func AppendFrame(dst []byte, kind byte, reqid uint32, payload []byte) []byte {
 	var hdr [FrameHeaderLen]byte
 	putFrameHeader(&hdr, kind, reqid, len(payload))
@@ -285,34 +286,11 @@ func parseFrameHeader(hdr []byte) (kind byte, reqid uint32, payloadLen int, err 
 	return kind, reqid, int(n), nil
 }
 
-// ReadFrame reads one complete frame from r. Used by clients and
-// tests; the server's read loop inlines the same parse over reused
-// buffers. A clean EOF before any header byte returns io.EOF; a
-// truncated header or payload returns io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader) (kind byte, reqid uint32, payload []byte, err error) {
-	var hdr [FrameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return 0, 0, nil, fmt.Errorf("serve: wire: truncated frame header: %w", err)
-		}
-		return 0, 0, nil, err
-	}
-	kind, reqid, n, err := parseFrameHeader(hdr[:])
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if n > 0 {
-		payload = make([]byte, n)
-		if m, err := io.ReadFull(r, payload); err != nil {
-			return 0, 0, nil, fmt.Errorf("serve: wire: truncated payload (%d of %d bytes): %w", m, n, err)
-		}
-	}
-	return kind, reqid, payload, nil
-}
-
 // DecodeFrame parses one complete frame held in memory, rejecting
 // trailing bytes — the strict single-frame parser FuzzDecodeQuoteFrame
 // drives. On success the payload aliases b.
+//
+//lint:allow testonly frame decoder of the out-of-module _truthbench client
 func DecodeFrame(b []byte) (kind byte, reqid uint32, payload []byte, err error) {
 	kind, reqid, n, err := parseFrameHeader(b)
 	if err != nil {

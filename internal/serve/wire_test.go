@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -216,4 +217,30 @@ func FuzzDecodeQuoteFrame(f *testing.F) {
 			t.Fatalf("re-encode differs:\n  in  %x\n  out %x", data, re)
 		}
 	})
+}
+
+// ReadFrame reads one complete frame from r, the stream reference the
+// tests hold the framing to; the server's read loop and BinaryClient
+// inline the same parse over reused buffers. A clean EOF before any
+// header byte returns io.EOF; a truncated header or payload returns
+// io.ErrUnexpectedEOF.
+func ReadFrame(r io.Reader) (kind byte, reqid uint32, payload []byte, err error) {
+	var hdr [FrameHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return 0, 0, nil, fmt.Errorf("serve: wire: truncated frame header: %w", err)
+		}
+		return 0, 0, nil, err
+	}
+	kind, reqid, n, err := parseFrameHeader(hdr[:])
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if n > 0 {
+		payload = make([]byte, n)
+		if m, err := io.ReadFull(r, payload); err != nil {
+			return 0, 0, nil, fmt.Errorf("serve: wire: truncated payload (%d of %d bytes): %w", m, n, err)
+		}
+	}
+	return kind, reqid, payload, nil
 }

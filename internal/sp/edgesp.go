@@ -44,16 +44,6 @@ func EdgeDijkstra(g *graph.EdgeWeighted, src int, bannedEdge *[2]int) *Tree {
 	return t
 }
 
-// EdgePath returns the shortest s-t path and its cost in an
-// edge-weighted graph, or (nil, +Inf).
-func EdgePath(g *graph.EdgeWeighted, s, t int) ([]int, float64) {
-	tree := EdgeDijkstra(g, s, nil)
-	if !tree.Reachable(t) {
-		return nil, Inf
-	}
-	return tree.PathTo(t), tree.Dist[t]
-}
-
 // EdgeReplacementCostsNaive computes, for every edge e_i of the s-t
 // shortest path, the cost of the shortest path avoiding e_i, by one
 // Dijkstra per path edge — the baseline for the Hershberger–Suri

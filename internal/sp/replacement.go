@@ -15,6 +15,8 @@ import (
 // removing the node disconnects s from t, i.e. the node holds a
 // monopoly — excluded by the paper's biconnectivity assumption but
 // handled gracefully here).
+//
+//lint:allow testonly per-relay Dijkstra reference that the core and sp tests hold Algorithm 1 to
 func ReplacementCostsNaive(g *graph.NodeGraph, s, t int, path []int) map[int]float64 {
 	out := make(map[int]float64, max(0, len(path)-2))
 	banned := make([]bool, g.N())
@@ -24,28 +26,6 @@ func ReplacementCostsNaive(g *graph.NodeGraph, s, t int, path []int) map[int]flo
 		tree := NodeDijkstra(g, s, banned)
 		out[k] = tree.Dist[t]
 		banned[k] = false
-	}
-	return out
-}
-
-// ReplacementCostsAvoidingSets generalizes ReplacementCostsNaive to
-// the collusion-resistant payment p̃ (§III.E): for each interior node
-// v_k of the path it computes ||P_-Q(vk)(s, t, d)||, the least cost
-// path avoiding the whole set Q(v_k) (e.g. v_k's closed
-// neighbourhood). avoid(k) must return the set to remove for relay k;
-// s and t are never removed even if present in the set.
-func ReplacementCostsAvoidingSets(g *graph.NodeGraph, s, t int, path []int, avoid func(k int) []int) map[int]float64 {
-	out := make(map[int]float64, max(0, len(path)-2))
-	for i := 1; i+1 < len(path); i++ {
-		k := path[i]
-		banned := make([]bool, g.N())
-		for _, v := range avoid(k) {
-			if v != s && v != t {
-				banned[v] = true
-			}
-		}
-		tree := NodeDijkstra(g, s, banned)
-		out[k] = tree.Dist[t]
 	}
 	return out
 }

@@ -108,6 +108,8 @@ func LinkDijkstra(g *graph.LinkGraph, src int, banned []bool) *Tree {
 
 // NodePath returns the least cost path from s to t (inclusive) and
 // its interior cost, or (nil, +Inf) when t is unreachable.
+//
+//lint:allow testonly least-cost-path reference for the sp and mechanism tests
 func NodePath(g *graph.NodeGraph, s, t int) ([]int, float64) {
 	tree := NodeDijkstra(g, s, nil)
 	if !tree.Reachable(t) {
@@ -118,6 +120,8 @@ func NodePath(g *graph.NodeGraph, s, t int) ([]int, float64) {
 
 // LinkPath returns the least cost directed path from s to t and its
 // total arc weight, or (nil, +Inf) when t is unreachable.
+//
+//lint:allow testonly least-cost-path reference for the sp and mechanism tests
 func LinkPath(g *graph.LinkGraph, s, t int) ([]int, float64) {
 	tree := LinkDijkstra(g, s, nil)
 	if !tree.Reachable(t) {
@@ -129,6 +133,8 @@ func LinkPath(g *graph.LinkGraph, s, t int) ([]int, float64) {
 // HopDistances returns the unweighted BFS hop count from src to
 // every node (-1 when unreachable); Figure 3(d) buckets nodes by this
 // quantity.
+//
+//lint:allow testonly BFS hop reference for the sp and netsim tests
 func HopDistances(g *graph.NodeGraph, src int) []int {
 	n := g.N()
 	hops := make([]int, n)

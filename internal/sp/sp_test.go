@@ -220,30 +220,6 @@ func TestReplacementCostsMonopoly(t *testing.T) {
 	}
 }
 
-func TestReplacementCostsAvoidingSets(t *testing.T) {
-	// Three disjoint s-t paths with interior costs 1, 2, 3; relays on
-	// the cheapest path have the middle path's relay as a
-	// "neighbour" via avoid(), so the avoiding cost jumps to 3.
-	g := graph.NewNodeGraph(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 4)
-	g.AddEdge(0, 2)
-	g.AddEdge(2, 4)
-	g.AddEdge(0, 3)
-	g.AddEdge(3, 4)
-	g.SetCosts([]float64{0, 1, 2, 3, 0})
-	path, cost := NodePath(g, 0, 4)
-	if cost != 1 || len(path) != 3 || path[1] != 1 {
-		t.Fatalf("LCP = %v cost %v, want via node 1 at cost 1", path, cost)
-	}
-	rep := ReplacementCostsAvoidingSets(g, 0, 4, path, func(k int) []int {
-		return []int{k, 2} // pretend node 2 colludes with every relay
-	})
-	if rep[1] != 3 {
-		t.Fatalf("avoiding-set cost = %v, want 3", rep[1])
-	}
-}
-
 func TestLinkReplacementCostsNaive(t *testing.T) {
 	g := graph.NewLinkGraph(4)
 	g.AddArc(0, 1, 1)

@@ -48,12 +48,6 @@ func (a *Acc) Add(x float64) {
 // ones).
 func (a *Acc) N() int { return a.n + a.inf }
 
-// Infs returns how many infinite observations were folded in.
-func (a *Acc) Infs() int { return a.inf }
-
-// Skipped returns the number of NaN observations dropped.
-func (a *Acc) Skipped() int { return a.nanSkipped }
-
 // Mean returns the running mean of the finite observations (NaN when
 // there are none).
 func (a *Acc) Mean() float64 {
@@ -69,14 +63,6 @@ func (a *Acc) Max() float64 {
 		return math.NaN()
 	}
 	return a.max
-}
-
-// Min returns the smallest observation (NaN when empty).
-func (a *Acc) Min() float64 {
-	if a.n+a.inf == 0 {
-		return math.NaN()
-	}
-	return a.min
 }
 
 // StdDev returns the sample standard deviation (NaN for n < 2).

@@ -129,3 +129,14 @@ func TestCI95(t *testing.T) {
 		t.Errorf("CI95 = %v, want %v", got, want)
 	}
 }
+
+// Skipped returns the number of NaN observations dropped.
+func (a *Acc) Skipped() int { return a.nanSkipped }
+
+// Min returns the smallest observation (NaN when empty).
+func (a *Acc) Min() float64 {
+	if a.n+a.inf == 0 {
+		return math.NaN()
+	}
+	return a.min
+}

@@ -51,6 +51,8 @@ func (d *Deployment) UnmarshalJSON(data []byte) error {
 }
 
 // ReadDeployment decodes a Deployment from JSON.
+//
+//lint:allow testonly fuzzed decoder, also read back by the cli netgen tests
 func ReadDeployment(r io.Reader) (*Deployment, error) {
 	var d Deployment
 	if err := json.NewDecoder(r).Decode(&d); err != nil {
