@@ -4,10 +4,10 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"truthroute/internal/mechanism"
 
 	"truthroute/internal/core"
 	"truthroute/internal/graph"
+	"truthroute/internal/mechanism"
 )
 
 func TestTwoNodeCuts(t *testing.T) {
@@ -97,29 +97,6 @@ func TestFindResaleFigure2(t *testing.T) {
 	if len(direct) != 0 {
 		t.Errorf("AP-adjacent source found deals: %v", direct)
 	}
-
-	// Deals come most profitable first, equal savings by ascending
-	// Via. Source 6's least cost path 6-1-2-0 costs 2 and each relay's
-	// replacement leaves through 4 or 5 (cost 2.5), so p_6 = 2·1.5 = 3:
-	// reselling through 4 or 5 saves 0.5 each, through 3 (cost 2.75)
-	// 0.25. Neighbours are listed 1, 3, 5, 4, so the order is the
-	// sort's doing.
-	h := graph.NewNodeGraph(7)
-	for _, e := range [][2]int{{6, 1}, {1, 2}, {2, 0}, {6, 3}, {3, 0}, {6, 5}, {5, 0}, {6, 4}, {4, 0}} {
-		h.AddEdge(e[0], e[1])
-	}
-	h.SetCosts([]float64{0, 1, 1, 2.75, 2.5, 2.5, 1})
-	deals, err = FindResale(h, 6, 0, core.EngineNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Resale
-	for _, d := range deals {
-		got = append(got, Resale{Via: d.Via, Savings: d.Savings})
-	}
-	if want := []Resale{{Via: 4, Savings: 0.5}, {Via: 5, Savings: 0.5}, {Via: 3, Savings: 0.25}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("deal order (via, savings) = %v, want %v", got, want)
-	}
 }
 
 func TestFindResaleMonopolyError(t *testing.T) {
@@ -130,6 +107,42 @@ func TestFindResaleMonopolyError(t *testing.T) {
 	if _, err := FindResale(g, 2, 0, core.EngineNaive); err == nil {
 		t.Error("monopoly-facing source should error")
 	}
+}
+
+// TestScanResaleOrdersBySavings: scanning every source of Figure 4
+// yields each source's deals most profitable first, and the paper's
+// 8-via-4 deal is among them.
+func TestScanResaleOrdersBySavings(t *testing.T) {
+	g := graph.Figure4()
+	found, total := false, 0
+	for src := 1; src < g.N(); src++ {
+		deals, err := FindResale(g, src, 0, core.EngineFast)
+		if err != nil {
+			continue
+		}
+		total += len(deals)
+		for i := 1; i < len(deals); i++ {
+			if deals[i].Savings > deals[i-1].Savings {
+				t.Fatalf("source %d: deals not sorted by savings: %v", src, deals)
+			}
+		}
+		for _, d := range deals {
+			if d.Source == 8 && d.Via == 4 && d.Savings == 27 {
+				found = true
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("scan found nothing on Figure 4")
+	}
+	if !found {
+		t.Error("scan missed the paper's 8-via-4 deal")
+	}
+}
+
+// TestScanResaleSkipsMonopolySources: a source whose own quote is
+// unbounded is refused rather than offered a deal.
+func TestScanResaleSkipsMonopolySources(t *testing.T) {
 	// On the chain 0-1-2-3 every source behind relay 1 faces a
 	// monopoly and is refused; 1 itself pays nothing and has no deal.
 	h := graph.NewNodeGraph(4)
@@ -144,6 +157,32 @@ func TestFindResaleMonopolyError(t *testing.T) {
 	}
 	if deals, err := FindResale(h, 1, 0, core.EngineNaive); err != nil || len(deals) != 0 {
 		t.Errorf("AP-adjacent source 1: deals %v, err %v; want none, nil", deals, err)
+	}
+}
+
+// TestScanResaleTieOrdering: deals come most profitable first, equal
+// savings by ascending Via.
+func TestScanResaleTieOrdering(t *testing.T) {
+	// Source 6's least cost path 6-1-2-0 costs 2 and each relay's
+	// replacement leaves through 4 or 5 (cost 2.5), so p_6 = 2·1.5 = 3:
+	// reselling through 4 or 5 saves 0.5 each, through 3 (cost 2.75)
+	// 0.25. Neighbours are listed 1, 3, 5, 4, so the order is the
+	// sort's doing.
+	h := graph.NewNodeGraph(7)
+	for _, e := range [][2]int{{6, 1}, {1, 2}, {2, 0}, {6, 3}, {3, 0}, {6, 5}, {5, 0}, {6, 4}, {4, 0}} {
+		h.AddEdge(e[0], e[1])
+	}
+	h.SetCosts([]float64{0, 1, 1, 2.75, 2.5, 2.5, 1})
+	deals, err := FindResale(h, 6, 0, core.EngineNaive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Resale
+	for _, d := range deals {
+		got = append(got, Resale{Via: d.Via, Savings: d.Savings})
+	}
+	if want := []Resale{{Via: 4, Savings: 0.5}, {Via: 5, Savings: 0.5}, {Via: 3, Savings: 0.25}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("deal order (via, savings) = %v, want %v", got, want)
 	}
 }
 

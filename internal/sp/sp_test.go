@@ -220,6 +220,30 @@ func TestReplacementCostsMonopoly(t *testing.T) {
 	}
 }
 
+// TestReplacementCostsAvoidingSets: banning a relay's whole set Q(v_k)
+// (§III.E) prices the least cost path avoiding all of it.
+func TestReplacementCostsAvoidingSets(t *testing.T) {
+	// Three disjoint s-t paths with interior costs 1, 2, 3; if node 2
+	// colludes with relay 1, the avoiding cost jumps to 3.
+	g := graph.NewNodeGraph(5)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 4)
+	g.AddEdge(0, 2)
+	g.AddEdge(2, 4)
+	g.AddEdge(0, 3)
+	g.AddEdge(3, 4)
+	g.SetCosts([]float64{0, 1, 2, 3, 0})
+	path, cost := NodePath(g, 0, 4)
+	if cost != 1 || len(path) != 3 || path[1] != 1 {
+		t.Fatalf("LCP = %v cost %v, want via node 1 at cost 1", path, cost)
+	}
+	banned := make([]bool, g.N())
+	banned[1], banned[2] = true, true
+	if d := NodeDijkstra(g, 0, banned).Dist[4]; d != 3 {
+		t.Fatalf("avoiding-set cost = %v, want 3", d)
+	}
+}
+
 func TestLinkReplacementCostsNaive(t *testing.T) {
 	g := graph.NewLinkGraph(4)
 	g.AddArc(0, 1, 1)
