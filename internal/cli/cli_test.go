@@ -2,6 +2,8 @@ package cli
 
 import (
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -314,6 +316,47 @@ func TestPaytoolEdgeGraph(t *testing.T) {
 	}
 	if !strings.Contains(out2.String(), "WARNING: bridge edges") {
 		t.Errorf("missing bridge warning: %q", out2.String())
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/paytool_edge.golden")
+
+// TestPaytoolEdgeJSONGolden pins `paytool -edgegraph -json` byte for
+// byte, both engines, on a chain of exactly tied diamonds that ends in
+// a bridge (testdata/edge_ties_bridge.json). The 0→18 total adds eight
+// payments that are not exact binary fractions, so it repeats only
+// while Total sums in a fixed order; each run is made 20 times. The
+// 0→19 quote crosses the bridge and pins the refusal to encode its
+// unbounded payment.
+func TestPaytoolEdgeJSONGolden(t *testing.T) {
+	run := func() string {
+		var b strings.Builder
+		for _, engine := range []string{"fast", "naive"} {
+			for _, dest := range []string{"18", "19"} {
+				args := []string{"-edgegraph", filepath.Join("testdata", "edge_ties_bridge.json"),
+					"-source", "0", "-dest", dest, "-engine", engine, "-json"}
+				var out, errOut strings.Builder
+				code := RunPaytool(args, &out, &errOut)
+				fmt.Fprintf(&b, "$ paytool %s\nexit %d\n%s%s", strings.Join(args, " "), code, out.String(), errOut.String())
+			}
+		}
+		return b.String()
+	}
+	path := filepath.Join("testdata", "paytool_edge.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(run()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		if got := run(); got != string(want) {
+			t.Fatalf("run %d drifted from %s\n--- golden ---\n%s--- got ---\n%s", i, path, want, got)
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"truthroute/internal/graph"
-	"truthroute/internal/sp"
 )
 
 func TestSoakFastEngines(t *testing.T) {
@@ -64,14 +63,8 @@ func TestSoakEdgeEngine(t *testing.T) {
 		}
 		s := rng.IntN(n)
 		tgt := (s + 1 + rng.IntN(n-1)) % n
-		tree := sp.EdgeDijkstra(g, s, nil)
-		path := tree.PathTo(tgt)
-		fast := edgeReplacementCostsFast(g, s, tgt, tree)
-		naive := sp.EdgeReplacementCostsNaive(g, s, tgt, path)
-		for k, want := range naive {
-			if got, ok := fast[k]; !ok || !almostEqual(got, want) {
-				t.Fatalf("seed %d edge %v: fast %v naive %v", seed, k, got, want)
-			}
+		if ok, msg := edgeFastMatchesNaive(g, s, tgt, almostEqual); !ok {
+			t.Fatalf("seed %d: %s", seed, msg)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -204,10 +205,7 @@ func TestUnderpayerDetected(t *testing.T) {
 	}
 	// The cheat would have saved it money had it gone unnoticed.
 	u := behaviors[8].(*Underpayer)
-	honest := 0.0
-	for _, p := range u.State().Prices {
-		honest += p
-	}
+	honest := sortedSum(u.State().Prices, 1)
 	if !(u.CheatedTotal() < honest) {
 		t.Errorf("cheated total %v not below honest %v", u.CheatedTotal(), honest)
 	}
@@ -369,9 +367,20 @@ func TestMessageComplexity(t *testing.T) {
 // CheatedTotal returns what the underpayer would actually pay: its
 // honest entries scaled by Factor.
 func (u *Underpayer) CheatedTotal() float64 {
+	return sortedSum(u.State().Prices, u.Factor)
+}
+
+// sortedSum returns Σ scale·m[k] accumulated in increasing key order,
+// so its rounding does not follow map order.
+func sortedSum(m map[int]float64, scale float64) float64 {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
 	t := 0.0
-	for _, p := range u.State().Prices {
-		t += p * u.Factor
+	for _, k := range keys {
+		t += m[k] * scale
 	}
 	return t
 }

@@ -27,8 +27,8 @@ import (
 )
 
 // payees returns the relay ids of a quote's payment map in sorted
-// order, so settlement credits accounts and writes audit-log entries
-// in a replica-independent order.
+// order, so settlement credits accounts in a replica-independent
+// order.
 func payees(q *core.Quote) []int {
 	keys := make([]int, 0, len(q.Payments))
 	for k := range q.Payments {
@@ -46,21 +46,11 @@ var ErrInsufficientFunds = errors.New("ledger: insufficient funds")
 // (monopolist) payment.
 var ErrMonopoly = errors.New("ledger: quote contains an unbounded monopoly payment")
 
-// Entry is one audit-log line.
-type Entry struct {
-	Session uint64
-	Kind    string // "uplink" or "downlink"
-	Payer   int
-	Payee   int
-	Amount  float64
-}
-
 // Ledger is the access point's account book.
 type Ledger struct {
 	kr       auth.Keyring
 	ap       int
 	balances map[int]float64
-	log      []Entry
 	// seen guards against double-settling the same (session, seq).
 	seen map[[2]uint64]bool
 }
@@ -123,9 +113,7 @@ func (l *Ledger) SettleUplink(pkt auth.Packet, apAck auth.Ack, q *core.Quote, pa
 	l.seen[key] = true
 	l.balances[q.Source] -= total
 	for _, k := range payees(q) {
-		amt := q.Payments[k] * float64(packets)
-		l.balances[k] += amt
-		l.log = append(l.log, Entry{Session: pkt.Session, Kind: "uplink", Payer: q.Source, Payee: k, Amount: amt})
+		l.balances[k] += q.Payments[k] * float64(packets)
 	}
 	return nil
 }
@@ -165,9 +153,7 @@ func (l *Ledger) SettleDownlink(session uint64, q *core.Quote, acks []auth.Ack, 
 		if !valid[k] {
 			continue
 		}
-		amt := q.Payments[k] * float64(packets)
-		l.balances[k] += amt
-		l.log = append(l.log, Entry{Session: session, Kind: "downlink", Payer: q.Source, Payee: k, Amount: amt})
+		l.balances[k] += q.Payments[k] * float64(packets)
 	}
 	return unacked, nil
 }

@@ -41,9 +41,6 @@ func TestSettleUplink(t *testing.T) {
 	if got := l.TotalCirculating(); got != 700 {
 		t.Errorf("circulating = %v, want 700 (conserved)", got)
 	}
-	if len(l.Log()) != 3 {
-		t.Errorf("log has %d entries, want 3", len(l.Log()))
-	}
 }
 
 func TestSettleUplinkRejections(t *testing.T) {
@@ -160,9 +157,6 @@ func TestSettleDownlinkPartialAcks(t *testing.T) {
 		t.Errorf("source charged %v, want only the acked relay's 2", 100-got)
 	}
 }
-
-// Log returns the audit trail.
-func (l *Ledger) Log() []Entry { return l.log }
 
 // TestTotalCirculatingIsOrderFree: with balances that are not exact
 // binary fractions, the total must come out bit-identical on every

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -110,9 +111,12 @@ func targetObject(p *Pass, e ast.Expr) types.Object {
 }
 
 // checkMapRange flags a range over a map whose body feeds an
-// order-sensitive sink: an append to a slice that is never sorted, or
-// a call that writes/encodes/prints in iteration order. Commutative
-// bodies (sums, map-to-map copies, keyed writes) pass.
+// order-sensitive sink: an append to a slice that is never sorted, a
+// call that writes/encodes/prints in iteration order, or a float
+// `+=`/`-=` fold into one target across keys (float addition is not
+// associative, so the sum's last bits follow the order). Commutative
+// bodies (integer sums, map-to-map copies, keyed writes, per-key
+// `m[k] += v`) pass.
 func checkMapRange(p *Pass, r *ast.RangeStmt, sorted map[types.Object]bool) {
 	t := p.Pkg.Info.TypeOf(r.X)
 	if t == nil {
@@ -123,9 +127,18 @@ func checkMapRange(p *Pass, r *ast.RangeStmt, sorted map[types.Object]bool) {
 	}
 	var sink string
 	ast.Inspect(r.Body, func(n ast.Node) bool {
+		if sink != "" {
+			return false
+		}
+		if as, ok := n.(*ast.AssignStmt); ok {
+			if target := floatFoldTarget(p, as, r.Key); target != "" {
+				sink = "folds floats into " + target + " in map order"
+			}
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok || sink != "" {
-			return sink == ""
+		if !ok {
+			return true
 		}
 		if isBuiltin(p.Pkg, call, "append") && len(call.Args) > 0 {
 			if obj := targetObject(p, call.Args[0]); obj != nil && !sorted[obj] {
@@ -151,4 +164,29 @@ func checkMapRange(p *Pass, r *ast.RangeStmt, sorted map[types.Object]bool) {
 	if sink != "" {
 		p.Reportf(r.Pos(), "map iteration order is randomized per process but this loop %s; iterate a sorted key slice instead", sink)
 	}
+}
+
+// floatFoldTarget returns the rendered target of a float `+=` or `-=`
+// in a map range body, or "" when as is no such fold or its target is
+// indexed by the range key (each key then owns its own sum).
+func floatFoldTarget(p *Pass, as *ast.AssignStmt, key ast.Expr) string {
+	if (as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN) || len(as.Lhs) != 1 {
+		return ""
+	}
+	lhs := as.Lhs[0]
+	t := p.Pkg.Info.TypeOf(lhs)
+	if t == nil {
+		return ""
+	}
+	if b, ok := t.Underlying().(*types.Basic); !ok || b.Info()&(types.IsFloat|types.IsComplex) == 0 {
+		return ""
+	}
+	if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+		idx, idxOK := ast.Unparen(ix.Index).(*ast.Ident)
+		k, keyOK := key.(*ast.Ident)
+		if idxOK && keyOK && k.Name != "_" && p.Pkg.Info.ObjectOf(idx) == p.Pkg.Info.ObjectOf(k) {
+			return ""
+		}
+	}
+	return types.ExprString(lhs)
 }

@@ -78,13 +78,37 @@ func Dump(m map[int]string) {
 	}
 }
 
-// Sum is commutative; map order can't leak.
+// Sum folds floats in map order: float addition is not associative,
+// so the total's last bits change from run to run.
 func Sum(m map[int]float64) float64 {
 	total := 0.0
+	for _, v := range m { // want `folds floats into total in map order`
+		total += v
+	}
+	return total
+}
+
+// Drain subtracts in map order; the same fault as Sum.
+func Drain(m map[string]float64, acc []float64) {
+	for _, v := range m { // want `folds floats into acc\[0\] in map order`
+		acc[0] -= v
+	}
+}
+
+// IntSum is exact, so its order cannot leak.
+func IntSum(m map[int]int) int {
+	total := 0
 	for _, v := range m {
 		total += v
 	}
 	return total
+}
+
+// PerKey gives every key its own sum; each fold sees one term.
+func PerKey(m map[int]float64, scale map[int]float64) {
+	for k, v := range m {
+		scale[k] += v
+	}
 }
 
 // Keyed writes land at deterministic positions regardless of order.

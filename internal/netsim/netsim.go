@@ -216,7 +216,11 @@ func (s *Sim) Session(src int, packets int) bool {
 		s.spend(q.Path[i], float64(packets)*s.g.Weight(q.Path[i], q.Path[i+1]), i > 0)
 	}
 	if s.policy == Compensated {
-		for k, p := range q.Payments {
+		// Path order, not map order: float addition is not
+		// associative, so a map-order fold would move PaidOut's last
+		// bits from run to run.
+		for _, k := range q.Relays() {
+			p := q.Payments[k]
 			s.EarnedRelay[k] += p * float64(packets)
 			s.PaidOut[src] += p * float64(packets)
 		}

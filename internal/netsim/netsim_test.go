@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"truthroute/internal/sp"
@@ -134,6 +135,31 @@ func TestCompensatedRelaysProfit(t *testing.T) {
 	}
 	if d := paid - earned; d > 1e-6 || d < -1e-6 {
 		t.Errorf("paid %v != earned %v", paid, earned)
+	}
+}
+
+// TestPaidOutFoldsInPathOrder: a source's PaidOut is the running sum
+// of its relays' payments taken in path order, session after session,
+// bit for bit — never a map-order fold, whose rounding would change
+// from run to run.
+func TestPaidOutFoldsInPathOrder(t *testing.T) {
+	s := New(deployment(5), 0, Compensated, 1e9) // routes never change
+	want := make([]float64, len(s.PaidOut))
+	rng := rand.New(rand.NewPCG(11, 11))
+	for i := 0; i < 500; i++ {
+		src := 1 + rng.IntN(len(want)-1)
+		if !s.Session(src, 3) {
+			continue
+		}
+		q := s.route(src)
+		for _, k := range q.Relays() {
+			want[src] += q.Payments[k] * 3
+		}
+	}
+	for v := range want {
+		if math.Float64bits(s.PaidOut[v]) != math.Float64bits(want[v]) {
+			t.Errorf("node %d paid out %v, path-order fold %v", v, s.PaidOut[v], want[v])
+		}
 	}
 }
 

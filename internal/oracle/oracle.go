@@ -2,7 +2,8 @@
 // it runs every payment engine — the fast §III.B replacement-path
 // algorithm, the naive per-relay recomputation, the §III.E set-based
 // p̃ mechanism, the §III.F link-weighted model (via a node→link
-// embedding), the §III.C batch recurrence, and the distributed
+// embedding), the §II.D edge-agent model (via edge subdivision), the
+// §III.C batch recurrence, and the distributed
 // Algorithm 2 (optionally under a seeded fault plan) — over one
 // topology and cross-checks their outputs against each other, against
 // a brute-force path enumeration on small instances, and against the
@@ -217,6 +218,90 @@ func LinkEmbed(g *graph.NodeGraph) *graph.LinkGraph {
 	return lg
 }
 
+// edgeInstance is the §II.D edge-agent view of a node-weighted
+// instance. Edge i = {u,v} of g becomes an agent of weight c_u + c_v,
+// which stays on the costs' quantum. sub subdivides edge i into node
+// n+i of that cost and gives g's own nodes cost 0, so node-model VCG
+// on sub pays node n+i exactly the edge payment
+//
+//	p^e = D_{G−e}(s,t) − (D_G(s,t) − w_e),
+//
+// and the naive node engine on sub is a reference for
+// core.EdgeVCGQuote. g's own nodes are not agents; their payments on
+// sub are ignored.
+type edgeInstance struct {
+	ew  *graph.EdgeWeighted
+	sub *graph.NodeGraph
+	// exact: sub's costs negotiate a fixed-point quantum, so every
+	// sum is exact and payments must agree bit for bit.
+	exact bool
+}
+
+func subdivide(g *graph.NodeGraph) edgeInstance {
+	n, edges := g.N(), g.Edges()
+	ew := graph.NewEdgeWeighted(n)
+	sub := graph.NewNodeGraph(n + len(edges))
+	for i, e := range edges {
+		u, v := e[0], e[1]
+		w := g.Cost(u) + g.Cost(v)
+		ew.AddEdge(u, v, w)
+		sub.SetCost(n+i, w)
+		sub.AddEdge(u, n+i)
+		sub.AddEdge(n+i, v)
+	}
+	_, exact := sub.CostQuantum()
+	return edgeInstance{ew: ew, sub: sub, exact: exact}
+}
+
+// checkEdge holds both edge-agent engines' quotes for (s,t) to the
+// naive node quote on the subdivision: the same cost, and on the same
+// path the same payment per edge, bitwise when the instance is exact
+// and at tol otherwise. A different path of the same cost is a tie
+// and skipped under its own note: on exact costs the node engines
+// route along the destination tree, the edge engine along the source
+// tree.
+func checkEdge(res *Result, in edgeInstance, s, t int, tol float64) {
+	const check = "engine-edge"
+	ref, rerr := core.UnicastQuote(in.sub, s, t, core.EngineNaive)
+	same := func(a, b float64) bool {
+		if in.exact {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}
+		return agree(a, b, tol)
+	}
+	for _, e := range []core.Engine{core.EngineFast, core.EngineNaive} {
+		res.check(check)
+		q, err := core.EdgeVCGQuote(in.ew, s, t, e)
+		if err != nil || rerr != nil {
+			if (err == nil) != (rerr == nil) {
+				res.violate(check, s, t, -1, "edge engine %d: error %v, subdivided reference error %v", e, err, rerr)
+			}
+			continue
+		}
+		if !same(q.Cost, ref.Cost) {
+			res.violate(check, s, t, -1, "edge engine %d: cost %g, subdivided %g", e, q.Cost, ref.Cost)
+			continue
+		}
+		// ref.Path alternates g's nodes and edge nodes: s, e_1, v_1, …
+		onG := make([]int, 0, len(q.Path))
+		for j := 0; j < len(ref.Path); j += 2 {
+			onG = append(onG, ref.Path[j])
+		}
+		if !samePath(onG, q.Path) {
+			res.skipped("edge-tie")
+			continue
+		}
+		for j := 1; j < len(q.Path); j++ {
+			u, v := q.Path[j-1], q.Path[j]
+			got, want := q.Payments[[2]int{min(u, v), max(u, v)}], ref.Payments[ref.Path[2*j-1]]
+			if !same(got, want) {
+				res.violate(check, s, t, -1, "edge engine %d: edge {%d,%d} paid %g, subdivided %g", e, u, v, got, want)
+				break
+			}
+		}
+	}
+}
+
 // compareQuote checks one engine's quote for (s,t) against the naive
 // reference. costShift is added to the reference cost before
 // comparison (the link embedding reports c_s + ||P||). A different
@@ -295,6 +380,7 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 
 	batch := core.AllUnicastQuotes(g, dest)
 	lg := LinkEmbed(g)
+	edge := subdivide(g)
 	allLink := core.AllLinkQuotes(lg, dest)
 
 	// When the cost vector admits a fixed-point quantum, every sum is
@@ -332,6 +418,7 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 	}
 
 	for _, s := range pickSources(n, dest, opt.MaxSources) {
+		checkEdge(res, edge, s, dest, opt.Tol)
 		naive, err := core.UnicastQuote(g, s, dest, core.EngineNaive)
 		if err != nil {
 			// Unreachable: every other engine must agree there is no

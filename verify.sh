@@ -51,13 +51,13 @@ stage_lint() {
     # DESIGN.md §8 and §13.
     ( set -x; go run ./cmd/truthlint ./... )
     # The gates must actually bite: every known-bad fixture has to fail.
-    for fixture in floatcmp snapshotimmut atomicmix goroleak noalloc testonly; do
+    for fixture in determinism floatcmp snapshotimmut atomicmix goroleak noalloc testonly; do
         if go run ./cmd/truthlint "./internal/lint/testdata/$fixture" >/dev/null 2>&1; then
             echo "truthlint: known-bad fixture $fixture unexpectedly passed" >&2
             exit 1
         fi
     done
-    echo "truthlint: bite checks ok (floatcmp snapshotimmut atomicmix goroleak noalloc testonly)"
+    echo "truthlint: bite checks ok (determinism floatcmp snapshotimmut atomicmix goroleak noalloc testonly)"
 
     # No compiled binaries in the tree: a committed test binary once
     # cost this repo 8MB of history. Check the magic bytes of every
