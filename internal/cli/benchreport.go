@@ -80,7 +80,8 @@ const DefaultBenchPattern = "BenchmarkPayment|BenchmarkDijkstra|BenchmarkReplace
 // DefaultGatePattern selects the benchmarks the -baseline regression
 // gate holds to the -regress bound: the bucket-frontier Dijkstra, the
 // fast-engine payment path, the all-sources engines on a paper-scale
-// UDG, the serving memo miss and an epoch's first miss on the same
+// UDG (and the link engine at n=500, where the Figure-3 sweep spends
+// most of its time), the serving memo miss and an epoch's first miss on the same
 // UDG shape, the socket-free binary frame path, and the construction
 // of a paper-scale deployment's graphs — the hot loops this repo's
 // performance contract is written against.
@@ -88,7 +89,7 @@ const DefaultBenchPattern = "BenchmarkPayment|BenchmarkDijkstra|BenchmarkReplace
 // are too noisy for a hard ns/op gate (BenchmarkServeBinaryQuoteFrame
 // gates the binary plane precisely because it excludes the kernel and
 // goroutine handoff).
-const DefaultGatePattern = "^BenchmarkDijkstraBucket$|^BenchmarkPaymentFast|^BenchmarkAllSources(Link|Node)UDG300$|^BenchmarkServeQuoteMissUDG300$|^BenchmarkServeEpochFirstMissUDG300$|^BenchmarkServeBinaryQuoteFrame$|^BenchmarkDeploymentGraphsUDG300$"
+const DefaultGatePattern = "^BenchmarkDijkstraBucket$|^BenchmarkPaymentFast|^BenchmarkAllSources(Link|Node)UDG300$|^BenchmarkAllSourcesLinkUDG500$|^BenchmarkServeQuoteMissUDG300$|^BenchmarkServeEpochFirstMissUDG300$|^BenchmarkServeBinaryQuoteFrame$|^BenchmarkDeploymentGraphsUDG300$"
 
 // RunBenchReport runs the payment/Dijkstra/protocol benchmark suite
 // under -benchmem and writes the parsed results as JSON — the harness

@@ -18,7 +18,7 @@ import (
 //     and every source's least cost path (its tree path).
 //  2. Relay k lies on P(i,dest) exactly when i is a strict descendant
 //     of k. Call that subtree T_k. The tree is laid out in preorder,
-//     so T_k is one contiguous range and membership is two compares.
+//     so T_k is the contiguous slot range (pre k, pre k + size k).
 //     k's index on i's path is hops(i) − hops(k); no path is scanned.
 //  3. For i ∈ T_k the k-avoiding cost A_i^k obeys the §III.C
 //     recurrence
@@ -32,9 +32,22 @@ import (
 //     over T_k along reverse arcs, relaxing A_b = w(b,x) + A_x,
 //     settles the rest.
 //
-// Seeding and search touch each source once per relay on its path, so
-// one destination costs Σ_i hops(i)·deg(i)·log n, with no repeated
-// sweeps.
+// Both steps of 3 run in preorder space. Once the tree is laid out,
+// every arc between nodes that reach dest is renumbered by slot into
+// two tables, one listing each node's out-arcs by increasing head
+// slot and one listing its in-arcs by increasing tail slot.
+//
+//   - Seeding. An exit of T_k from i is an arc whose head lies
+//     outside [pre k, pre k + size k), so in i's out-row the exits
+//     are a prefix and a suffix. Walking up i's path T_k only grows:
+//     the prefix end moves left and the suffix start moves right.
+//     With the row's prefix and suffix minima of w + dist(head), one
+//     walk writes every seed of i's avoid row.
+//   - Search. Relaxing x reads only the part of its in-row whose tails
+//     lie inside T_k, one contiguous slice of the row.
+//
+// One destination costs O(m) for the tables, O(Σ_i deg(i) + hops(i))
+// for the seeds, and Σ_k one Dijkstra over T_k's own arc slices.
 //
 // Floating point: each A_i^k is the exact float minimum over the
 // recurrence's own sums, whatever order the search visits them in.
@@ -101,10 +114,8 @@ func AllLinkQuotes(g *graph.LinkGraph, dest int) []*Quote {
 		i := int(v)
 		q := bs.quote(i, dest)
 		avoid := bs.avoidRow(i)
-		p := q.Path
-		for idx := 1; idx+1 < len(p); idx++ {
-			k := p[idx]
-			q.Payments[k] = g.Weight(k, p[idx+1]) + (avoid[idx-1] - q.Cost)
+		for idx, k := range q.Relays() {
+			q.Payments[k] = bs.upW[k] + (avoid[idx] - q.Cost)
 		}
 		out[i] = q
 	}
@@ -129,16 +140,17 @@ func (a *arcs) resize(n, m int) {
 // grow to the largest instance seen and are never shrunk, so a warm
 // pool allocates only the quotes it returns.
 type batchSpace struct {
-	// out holds arcs i→j with weight w(i,j), read when seeding; in
-	// holds the same arcs reversed (row x lists tails b in increasing
-	// order, weight w(b,x)), read by both searches.
-	out, in arcs
+	// in holds every arc b→x in row x, tails b in increasing id order,
+	// weight w(b,x); the destination tree reads it.
+	in      arcs
 	heap    *pq.Binary
 	heapCap int
 
 	// The destination tree. settled is Dijkstra's settle order, dest
-	// first, so every parent precedes its children.
+	// first, so every parent precedes its children. upW[v] is the
+	// weight of v's tree arc w(v, parent v).
 	dist    []float64
+	upW     []float64
 	parent  []int32
 	hops    []int32
 	settled []int32
@@ -147,10 +159,18 @@ type batchSpace struct {
 	// free preorder slot under each node while the layout is built.
 	pre, size, cursor, order []int32
 
-	// a is the per-relay search's tentative A_i^k. avoid holds every
-	// source's A_i^k row, relays in path order from row[i].
+	// The arcs between nodes that reach dest, renumbered by slot.
+	// Row q of pout lists the out-arcs of order[q] by increasing head
+	// slot, each weighed by its exit sum w + dist(head); row q of pin
+	// lists its in-arcs by increasing tail slot, weighed by w.
+	pout, pin arcs
+	// pmin and smin are the prefix and suffix minima of one pout row.
+	pmin, smin []float64
+
+	// a is the per-relay search's tentative A^k, by slot. Slot s's
+	// avoid row, relays in path order, ends just before end[s].
 	a     []float64
-	row   []int32
+	end   []int32
 	avoid []float64
 }
 
@@ -162,6 +182,7 @@ func acquireBatch(n int) *batchSpace {
 		bs.heap, bs.heapCap = pq.NewBinary(n), n
 	}
 	bs.dist = grow(bs.dist, n)
+	bs.upW = grow(bs.upW, n)
 	bs.a = grow(bs.a, n)
 	bs.parent = grow(bs.parent, n)
 	bs.hops = grow(bs.hops, n)
@@ -169,7 +190,7 @@ func acquireBatch(n int) *batchSpace {
 	bs.size = grow(bs.size, n)
 	bs.cursor = grow(bs.cursor, n)
 	bs.order = grow(bs.order, n)
-	bs.row = grow(bs.row, n)
+	bs.end = grow(bs.end, n)
 	return bs
 }
 
@@ -180,52 +201,39 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// loadNode fills both arc tables from the node model: every edge is
-// an arc each way, and entering node j costs c_j, except that
-// reaching dest costs nothing.
+// loadNode fills the arc table from the node model: every edge is an
+// arc each way, and entering node j costs c_j, except that reaching
+// dest costs nothing.
 func (bs *batchSpace) loadNode(g *graph.NodeGraph, dest int) {
 	csr := g.CSR()
 	n := g.N()
-	bs.out.resize(n, len(csr.Targets))
-	bs.in.resize(n, len(csr.Targets))
-	copy(bs.out.off, csr.Offsets)
-	copy(bs.out.head, csr.Targets)
-	copy(bs.in.off, csr.Offsets)
-	copy(bs.in.head, csr.Targets)
-	relay := func(v int) float64 {
-		if v == dest {
-			return 0
-		}
-		return g.Cost(v)
-	}
+	in := &bs.in
+	in.resize(n, len(csr.Targets))
+	copy(in.off, csr.Offsets)
+	copy(in.head, csr.Targets)
 	for u := 0; u < n; u++ {
-		cu := relay(u)
+		cu := 0.0
+		if u != dest {
+			cu = g.Cost(u)
+		}
 		for e := csr.Offsets[u]; e < csr.Offsets[u+1]; e++ {
-			bs.out.w[e] = relay(int(csr.Targets[e]))
-			bs.in.w[e] = cu
+			in.w[e] = cu
 		}
 	}
 }
 
-// loadLink fills the arc tables from a link graph: out copies the
-// graph's arcs, in buckets them by head with tails in increasing
-// order.
+// loadLink fills the arc table from a link graph, bucketing its arcs
+// by head with tails in increasing order.
 func (bs *batchSpace) loadLink(g *graph.LinkGraph) {
 	n, m := g.N(), g.M()
-	out, in := &bs.out, &bs.in
-	out.resize(n, m)
+	in := &bs.in
 	in.resize(n, m)
 	clear(in.off)
-	e := int32(0)
 	for u := 0; u < n; u++ {
-		out.off[u] = e
 		for _, a := range g.Out(u) {
-			out.head[e], out.w[e] = int32(a.To), a.W
-			e++
 			in.off[a.To+1]++
 		}
 	}
-	out.off[n] = e
 	for v := 0; v < n; v++ {
 		in.off[v+1] += in.off[v]
 	}
@@ -240,18 +248,21 @@ func (bs *batchSpace) loadLink(g *graph.LinkGraph) {
 	}
 }
 
-// solve builds the destination tree and its preorder layout, then
-// fills every source's avoid row with one search per relay.
+// solve builds the destination tree, its preorder layout and arc
+// tables, then fills every source's avoid row: seeds first, then one
+// search per relay.
 func (bs *batchSpace) solve(dest int) {
 	obsBatchSolves.Inc()
 	bs.destTree(dest)
 	bs.layout()
+	bs.slotArcs()
 	total := int32(0)
-	for _, v := range bs.settled[1:] {
-		bs.row[v] = total
+	for s, v := range bs.order[1:len(bs.settled)] {
 		total += bs.hops[v] - 1
+		bs.end[s+1] = total
 	}
 	bs.avoid = grow(bs.avoid, int(total))
+	bs.seed()
 	for _, k := range bs.settled[1:] {
 		if bs.size[k] > 1 {
 			bs.avoidRelay(k)
@@ -279,7 +290,7 @@ func (bs *batchSpace) destTree(dest int) {
 		for e := in.off[u]; e < in.off[u+1]; e++ {
 			b := int(in.head[e])
 			if nd := du + in.w[e]; nd < dist[b] {
-				dist[b], parent[b] = nd, int32(u)
+				dist[b], parent[b], bs.upW[b] = nd, int32(u), in.w[e]
 				if h.Contains(b) {
 					h.DecreaseKey(b, nd)
 				} else {
@@ -315,36 +326,133 @@ func (bs *batchSpace) layout() {
 	}
 }
 
-// avoidRelay computes A_i^k for every i ∈ T_k and stores each at k's
-// index in i's avoid row.
-func (bs *batchSpace) avoidRelay(k int32) {
-	lo, hi := bs.pre[k], bs.pre[k]+bs.size[k]
-	sub := bs.order[lo+1 : hi]
-	obsBatchSubtree.Observe(float64(len(sub)))
-	out, in, pre, dist, a, h := &bs.out, &bs.in, bs.pre, bs.dist, bs.a, bs.heap
-	for _, i := range sub {
-		best := math.Inf(1)
-		for e := out.off[i]; e < out.off[i+1]; e++ {
-			if p := pre[out.head[e]]; p >= lo && p < hi {
-				continue // the arc stays in T_k ∪ {k}
-			}
-			if c := out.w[e] + dist[out.head[e]]; c < best {
-				best = c
+// slotArcs builds pout and pin by counting, with no comparison sort:
+// visiting heads in slot order fills every pout row in increasing
+// head order, and visiting pout's rows in slot order then fills every
+// pin row in increasing tail order. Arcs that touch a node unable to
+// reach dest are dropped.
+func (bs *batchSpace) slotArcs() {
+	r := len(bs.settled)
+	in, pre, order, pout, pin := &bs.in, bs.pre, bs.order[:r], &bs.pout, &bs.pin
+	pout.resize(r, len(in.head))
+	pin.resize(r, len(in.head))
+	clear(pout.off)
+	clear(pin.off)
+	for p, x := range order {
+		for _, b := range in.head[in.off[x]:in.off[x+1]] {
+			if q := pre[b]; q >= 0 {
+				pout.off[q+1]++
+				pin.off[p+1]++
 			}
 		}
-		a[i] = best
-		if !math.IsInf(best, 1) {
-			h.Push(int(i), best)
+	}
+	for q := 0; q < r; q++ {
+		pout.off[q+1] += pout.off[q]
+		pin.off[q+1] += pin.off[q]
+	}
+	fill := bs.cursor[:r]
+	copy(fill, pout.off)
+	for p, x := range order {
+		for e := in.off[x]; e < in.off[x+1]; e++ {
+			if q := pre[in.head[e]]; q >= 0 {
+				f := fill[q]
+				pout.head[f], pout.w[f] = int32(p), in.w[e]
+				fill[q]++
+			}
+		}
+	}
+	copy(fill, pin.off)
+	for q := int32(0); q < int32(r); q++ {
+		for f := pout.off[q]; f < pout.off[q+1]; f++ {
+			p := pout.head[f]
+			g := fill[p]
+			pin.head[g], pin.w[g] = q, pout.w[f]
+			fill[p]++
+			pout.w[f] += bs.dist[order[p]]
+		}
+	}
+}
+
+// seed writes, for every source i, the best exit of T_k from i into
+// the slot of each relay k in i's avoid row: the least w + dist(head)
+// over i's out-arcs whose head lies outside T_k ∪ {k}, or +Inf.
+func (bs *batchSpace) seed() {
+	pout, pre, size, parent, order := &bs.pout, bs.pre, bs.size, bs.parent, bs.order
+	dest := order[0]
+	for s := int32(1); s < int32(len(bs.settled)); s++ {
+		i := order[s]
+		if bs.hops[i] < 2 {
+			continue // no relays
+		}
+		head := pout.head[pout.off[s]:pout.off[s+1]]
+		exit := pout.w[pout.off[s]:pout.off[s+1]]
+		deg := len(head)
+		bs.pmin, bs.smin = grow(bs.pmin, deg), grow(bs.smin, deg)
+		pmin, smin := bs.pmin, bs.smin
+		best := math.Inf(1)
+		for j, c := range exit {
+			if c < best {
+				best = c
+			}
+			pmin[j] = best
+		}
+		best = math.Inf(1)
+		for j := deg - 1; j >= 0; j-- {
+			if exit[j] < best {
+				best = exit[j]
+			}
+			smin[j] = best
+		}
+		// The exits are the prefix head[:lo] and the suffix head[hi:];
+		// the first relay's walk moves both pointers into place.
+		lo, hi := deg, 0
+		slot := bs.end[s] - bs.hops[i] + 1
+		for k := parent[i]; k != dest; k = parent[k] {
+			for lo > 0 && head[lo-1] >= pre[k] {
+				lo--
+			}
+			for hi < deg && head[hi] < pre[k]+size[k] {
+				hi++
+			}
+			v := math.Inf(1)
+			if lo > 0 {
+				v = pmin[lo-1]
+			}
+			if hi < deg && smin[hi] < v {
+				v = smin[hi]
+			}
+			bs.avoid[slot] = v
+			slot++
+		}
+	}
+}
+
+// avoidRelay computes A_i^k for every i ∈ T_k, starting from the
+// seeds in k's column of the avoid rows, and stores each back there.
+func (bs *batchSpace) avoidRelay(k int32) {
+	lo, hi := bs.pre[k], bs.pre[k]+bs.size[k]
+	obsBatchSubtree.Observe(float64(hi - lo - 1))
+	pin, a, h, end, avoid := &bs.pin, bs.a, bs.heap, bs.end, bs.avoid
+	hk := bs.hops[k]
+	for s := lo + 1; s < hi; s++ {
+		v := avoid[end[s]-hk]
+		a[s] = v
+		if !math.IsInf(v, 1) {
+			h.Push(int(s), v)
 		}
 	}
 	for h.Len() > 0 {
 		x, ax := h.Pop()
-		for e := in.off[x]; e < in.off[x+1]; e++ {
-			b := int(in.head[e])
-			if p := pre[b]; p <= lo || p >= hi {
-				continue // b is k itself or outside T_k
+		e, stop := pin.off[x], pin.off[x+1]
+		for e < stop && pin.head[e] <= lo {
+			e++ // the tail is k itself or lies before T_k
+		}
+		for ; e < stop; e++ {
+			b := int(pin.head[e])
+			if b >= int(hi) {
+				break // this tail and every later one lie after T_k
 			}
-			if nd := in.w[e] + ax; nd < a[b] {
+			if nd := pin.w[e] + ax; nd < a[b] {
 				a[b] = nd
 				if h.Contains(b) {
 					h.DecreaseKey(b, nd)
@@ -354,9 +462,8 @@ func (bs *batchSpace) avoidRelay(k int32) {
 			}
 		}
 	}
-	hk := bs.hops[k]
-	for _, i := range sub {
-		bs.avoid[bs.row[i]+bs.hops[i]-hk-1] = a[i]
+	for s := lo + 1; s < hi; s++ {
+		avoid[end[s]-hk] = a[s]
 	}
 }
 
@@ -377,6 +484,6 @@ func (bs *batchSpace) quote(i, dest int) *Quote {
 
 // avoidRow returns A_i^k for i's relays in path order.
 func (bs *batchSpace) avoidRow(i int) []float64 {
-	r := bs.row[i]
-	return bs.avoid[r : r+bs.hops[i]-1]
+	e := bs.end[bs.pre[i]]
+	return bs.avoid[e-bs.hops[i]+1 : e]
 }

@@ -350,9 +350,16 @@ func TestAllSourcesConcurrent(t *testing.T) {
 }
 
 // The all-sources engines on one n=300 deployment, the size of the
-// serving fixture and the middle of the Figure-3 sweep.
-func BenchmarkAllSourcesLinkUDG300(b *testing.B) {
-	_, lg, dest := udgFixture(300, 1)
+// serving fixture and the middle of the Figure-3 sweep, and on one
+// n=500 deployment, the sweep's largest size, where link-model paths
+// are longest.
+func BenchmarkAllSourcesLinkUDG300(b *testing.B) { benchAllLink(b, 300) }
+func BenchmarkAllSourcesNodeUDG300(b *testing.B) { benchAllNode(b, 300) }
+func BenchmarkAllSourcesLinkUDG500(b *testing.B) { benchAllLink(b, 500) }
+func BenchmarkAllSourcesNodeUDG500(b *testing.B) { benchAllNode(b, 500) }
+
+func benchAllLink(b *testing.B, n int) {
+	_, lg, dest := udgFixture(n, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -360,8 +367,8 @@ func BenchmarkAllSourcesLinkUDG300(b *testing.B) {
 	}
 }
 
-func BenchmarkAllSourcesNodeUDG300(b *testing.B) {
-	g, _, dest := udgFixture(300, 1)
+func benchAllNode(b *testing.B, n int) {
+	g, _, dest := udgFixture(n, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -266,18 +266,19 @@ func absInt(x int) int {
 
 // MarshalJSON implements json.Marshaler: edge keys are rendered as
 // "u-v" strings so the quote can travel through tooling (paytool
-// -json).
+// -json), and +Inf payments (bridges) as the string "inf", as
+// Quote.MarshalJSON does.
 func (q *EdgeQuote) MarshalJSON() ([]byte, error) {
-	payments := make(map[string]float64, len(q.Payments))
+	payments := make(map[string]any, len(q.Payments))
 	for k, p := range q.Payments {
-		payments[fmt.Sprintf("%d-%d", k[0], k[1])] = p
+		payments[fmt.Sprintf("%d-%d", k[0], k[1])] = jsonFloat(p)
 	}
 	return json.Marshal(struct {
-		Source   int                `json:"source"`
-		Target   int                `json:"target"`
-		Path     []int              `json:"path"`
-		Cost     float64            `json:"cost"`
-		Payments map[string]float64 `json:"payments"`
-		Total    float64            `json:"total"`
-	}{q.Source, q.Target, q.Path, q.Cost, payments, q.Total()})
+		Source   int            `json:"source"`
+		Target   int            `json:"target"`
+		Path     []int          `json:"path"`
+		Cost     float64        `json:"cost"`
+		Payments map[string]any `json:"payments"`
+		Total    any            `json:"total"`
+	}{q.Source, q.Target, q.Path, q.Cost, payments, jsonFloat(q.Total())})
 }

@@ -242,15 +242,7 @@ func NeighborhoodQuote(g *graph.NodeGraph, s, t int) (*Quote, error) {
 func (q *Quote) MarshalJSON() ([]byte, error) {
 	payments := make(map[string]any, len(q.Payments))
 	for k, p := range q.Payments {
-		if math.IsInf(p, 1) {
-			payments[strconv.Itoa(k)] = "inf"
-		} else {
-			payments[strconv.Itoa(k)] = p
-		}
-	}
-	var total any = q.Total()
-	if math.IsInf(q.Total(), 1) {
-		total = "inf"
+		payments[strconv.Itoa(k)] = jsonFloat(p)
 	}
 	return json.Marshal(struct {
 		Source   int            `json:"source"`
@@ -259,5 +251,15 @@ func (q *Quote) MarshalJSON() ([]byte, error) {
 		Cost     float64        `json:"cost"`
 		Payments map[string]any `json:"payments"`
 		Total    any            `json:"total"`
-	}{q.Source, q.Target, q.Path, q.Cost, payments, total})
+	}{q.Source, q.Target, q.Path, q.Cost, payments, jsonFloat(q.Total())})
+}
+
+// jsonFloat renders a payment or total for tooling output: +Inf, the
+// price of a monopoly, becomes the string "inf", which encoding/json
+// cannot write as a number.
+func jsonFloat(x float64) any {
+	if math.IsInf(x, 1) {
+		return "inf"
+	}
+	return x
 }

@@ -306,6 +306,22 @@ func TestEdgeQuoteJSONMarshal(t *testing.T) {
 	if !strings.Contains(string(data), `"0-1":3`) {
 		t.Errorf("edge payment key missing: %s", data)
 	}
+	// A path of bridges: every payment and the total are +Inf, which
+	// encode as "inf", as in Quote.MarshalJSON.
+	g := graph.NewEdgeWeighted(3)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	q, err = EdgeVCGQuote(g, 0, 2, EngineFast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err = json.Marshal(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"payments":{"0-1":"inf","1-2":"inf"},"total":"inf"`; !strings.Contains(string(data), want) {
+		t.Errorf("bridge quote = %s, want it to contain %s", data, want)
+	}
 }
 
 func TestQuoteString(t *testing.T) {
