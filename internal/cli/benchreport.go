@@ -33,6 +33,11 @@ type BenchResult struct {
 	// quoteload BenchLine format), keyed by unit — e.g. "p99-ns",
 	// "qps". Empty for plain benchmarks.
 	Extra map[string]float64 `json:"extra,omitempty"`
+	// Commit is the commit this row was measured at (HostStamp.Commit
+	// of the run that wrote it). Rows of one artifact are refreshed
+	// piecemeal, so the report-wide stamp cannot say where each row
+	// came from. Empty when parsed from a transcript.
+	Commit string `json:"commit,omitempty"`
 }
 
 // BenchReport is the BENCH_payments.json schema: the environment
@@ -78,7 +83,7 @@ func stampHost() HostStamp {
 const DefaultBenchPattern = "BenchmarkPayment|BenchmarkDijkstra|BenchmarkReplacement|BenchmarkAllSources|BenchmarkDistributedProtocol|BenchmarkProtocolUnder|BenchmarkEdgePayment|BenchmarkServe|BenchmarkServeBinaryQuote|BenchmarkDeploymentGraphs"
 
 // DefaultGatePattern selects the benchmarks the -baseline regression
-// gate holds to the -regress bound: the bucket-frontier Dijkstra, the
+// gate holds to the -regress bound: the workspace Dijkstra, the
 // fast-engine payment path, the all-sources engines on a paper-scale
 // UDG (and the link engine at n=500, where the Figure-3 sweep spends
 // most of its time), the serving memo miss and an epoch's first miss on the same
@@ -89,7 +94,7 @@ const DefaultBenchPattern = "BenchmarkPayment|BenchmarkDijkstra|BenchmarkReplace
 // are too noisy for a hard ns/op gate (BenchmarkServeBinaryQuoteFrame
 // gates the binary plane precisely because it excludes the kernel and
 // goroutine handoff).
-const DefaultGatePattern = "^BenchmarkDijkstraBucket$|^BenchmarkPaymentFast|^BenchmarkAllSources(Link|Node)UDG300$|^BenchmarkAllSourcesLinkUDG500$|^BenchmarkServeQuoteMissUDG300$|^BenchmarkServeEpochFirstMissUDG300$|^BenchmarkServeBinaryQuoteFrame$|^BenchmarkDeploymentGraphsUDG300$"
+const DefaultGatePattern = "^BenchmarkDijkstraWorkspace$|^BenchmarkPaymentFast|^BenchmarkAllSources(Link|Node)UDG300$|^BenchmarkAllSourcesLinkUDG500$|^BenchmarkServeQuoteMissUDG300$|^BenchmarkServeEpochFirstMissUDG300$|^BenchmarkServeBinaryQuoteFrame$|^BenchmarkDeploymentGraphsUDG300$"
 
 // RunBenchReport runs the payment/Dijkstra/protocol benchmark suite
 // under -benchmem and writes the parsed results as JSON — the harness
@@ -153,6 +158,9 @@ func RunBenchReport(args []string, stdout, stderr io.Writer) int {
 		report.Package = "" // unknown: the transcript's pkg line wins
 	} else {
 		report.Host = stampHost()
+		for i := range report.Benchmarks {
+			report.Benchmarks[i].Commit = report.Host.Commit
+		}
 	}
 
 	blob, err := json.MarshalIndent(report, "", "  ")

@@ -45,9 +45,9 @@ func TestParseBenchOutput(t *testing.T) {
 // count recorded.
 func TestParseBenchOutputCollapsesRuns(t *testing.T) {
 	const transcript = `goos: linux
-BenchmarkDijkstraBucket-4   	    5000	    210000 ns/op	       0 B/op	       0 allocs/op
-BenchmarkDijkstraBucket-4   	    5200	    201000 ns/op	       0 B/op	       0 allocs/op
-BenchmarkDijkstraBucket-4   	    5100	    205000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkDijkstraWorkspace-4   	    5000	    210000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkDijkstraWorkspace-4   	    5200	    201000 ns/op	       0 B/op	       0 allocs/op
+BenchmarkDijkstraWorkspace-4   	    5100	    205000 ns/op	       0 B/op	       0 allocs/op
 BenchmarkPaymentFast256-4   	   46557	     54688 ns/op	    1560 B/op	       6 allocs/op
 PASS
 `
@@ -59,7 +59,7 @@ PASS
 		t.Fatalf("want 2 collapsed benchmarks, got %+v", report.Benchmarks)
 	}
 	b := report.Benchmarks[0]
-	if b.Name != "BenchmarkDijkstraBucket" || b.NsPerOp != 201000 || b.Iterations != 5200 || b.Runs != 3 {
+	if b.Name != "BenchmarkDijkstraWorkspace" || b.NsPerOp != 201000 || b.Iterations != 5200 || b.Runs != 3 {
 		t.Errorf("collapsed entry wrong: %+v", b)
 	}
 	if report.Benchmarks[1].Runs != 0 {
@@ -162,6 +162,41 @@ func TestBenchReportHostStamp(t *testing.T) {
 	}
 	if _, log = gate(BenchReport{CPU: "Y", Benchmarks: rows}); !strings.Contains(log, `cpu="Y"`) {
 		t.Errorf("other cpu model not reported: %s", log)
+	}
+}
+
+// TestBenchReportStampsEveryRow: a live run writes its commit into
+// every row, so a row copied into a piecemeal-refreshed artifact keeps
+// saying where it was measured; a transcript leaves rows unstamped.
+func TestBenchReportStampsEveryRow(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := RunBenchReport([]string{"-pkg", "truthroute/internal/pq", "-bench", "^BenchmarkBinaryHeapsort4096$",
+		"-benchtime", "1x", "-out", "-"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("live run: exit %d, stderr: %s", code, stderr.String())
+	}
+	var live BenchReport
+	if err := json.Unmarshal(stdout.Bytes(), &live); err != nil {
+		t.Fatal(err)
+	}
+	if len(live.Benchmarks) != 1 {
+		t.Fatalf("live run rows: %+v", live.Benchmarks)
+	}
+	for _, b := range live.Benchmarks {
+		if b.Commit != live.Host.Commit {
+			t.Errorf("row %s stamped %q, run stamp %q", b.Name, b.Commit, live.Host.Commit)
+		}
+	}
+
+	in := filepath.Join(t.TempDir(), "bench.txt")
+	if err := os.WriteFile(in, []byte(sampleBenchOutput), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout.Reset()
+	if code := RunBenchReport([]string{"-input", in, "-out", "-"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("transcript: exit %d, stderr: %s", code, stderr.String())
+	}
+	if strings.Contains(stdout.String(), `"commit"`) {
+		t.Errorf("transcript rows stamped: %s", stdout.String())
 	}
 }
 

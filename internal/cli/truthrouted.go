@@ -29,7 +29,6 @@ func RunTruthrouted(args []string, stdout, stderr io.Writer) int {
 	binAddr := fs.String("binary-addr", "", "also serve the binary quote protocol (DESIGN.md §15) on this TCP address (empty = HTTP only)")
 	binAddrFile := fs.String("binary-addr-file", "", "write the bound binary address to this file once listening")
 	maxInflight := fs.Int("max-inflight", serve.DefaultMaxInFlight, "admitted in-flight request bound; excess load is refused with 429")
-	warm := fs.Int("warm", 0, "solver workspaces pre-warmed per shard (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -48,7 +47,7 @@ func RunTruthrouted(args []string, stdout, stderr io.Writer) int {
 	// serve.* counters are the operational surface.
 	obs.Reset()
 	obs.Enable()
-	srv := serve.New(g, serve.Config{MaxInFlight: *maxInflight, WarmWorkspaces: *warm})
+	srv := serve.New(g, serve.Config{MaxInFlight: *maxInflight})
 
 	// Register the signal handler before the bound address becomes
 	// visible (stdout, -addr-file): a supervisor that reads the

@@ -124,17 +124,17 @@ func bitwiseQuote(t *testing.T, label string, got, want *Quote) {
 	}
 }
 
-// TestAllSourcesBitwiseQuantized: on quarter-grid costs every sum is
-// exact and every node-model engine routes along the destination tree,
-// so the batch engine's quotes equal Solver.Quote's bit for bit, path
-// included, for both engines and every source. The oracle's
-// engine-batch check relies on this.
+// TestAllSourcesBitwiseQuantized: on exact costs (quarter-grid, or
+// wide-span integers) every sum is exact and every node-model engine
+// routes along the destination tree, so the batch engine's quotes
+// equal Solver.Quote's bit for bit, path included, for both engines
+// and every source. The oracle's engine-batch check relies on this.
 func TestAllSourcesBitwiseQuantized(t *testing.T) {
 	sv := NewSolver()
 	check := func(label string, g *graph.NodeGraph, dest int) {
 		t.Helper()
 		if _, ok := g.CostQuantum(); !ok {
-			t.Fatalf("%s: quarter-grid costs do not negotiate a quantum", label)
+			t.Fatalf("%s: costs are not exact", label)
 		}
 		all := AllUnicastQuotes(g, dest)
 		for s := 0; s < g.N(); s++ {
@@ -166,6 +166,25 @@ func TestAllSourcesBitwiseQuantized(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		g, ap := quarterUDG(300, seed)
 		check(fmt.Sprintf("serving seed=%d", seed), g, ap)
+	}
+	// Wide span: integer costs up to 2^20. Exactness rests on exact
+	// sums alone, not on how far apart the costs lie. Four cost levels
+	// on a grid make equal-cost ties everywhere, so a source-tree path
+	// would differ from the destination tree's.
+	grid := graph.Grid(12, 12)
+	rng := rand.New(rand.NewPCG(20, 1))
+	for v := 0; v < grid.N(); v++ {
+		grid.SetCost(v, float64((1+rng.IntN(4))<<18))
+	}
+	check("wide-span grid corner", grid, 0)
+	check("wide-span grid centre", grid, 6*12+6)
+	for seed := uint64(1); seed <= 2; seed++ {
+		g0, _, dest := udgFixture(300, seed)
+		costs := g0.Costs()
+		for v := range costs {
+			costs[v] = math.Round(costs[v] * (1 << 16))
+		}
+		check(fmt.Sprintf("wide-span udg seed=%d", seed), g0.WithCosts(costs), dest)
 	}
 }
 
@@ -242,20 +261,19 @@ func TestLinkDestTreeBitIdentical(t *testing.T) {
 // TestNodeDestTreeSharedBySolver pins the one tie rule's tree: on
 // quantized serving fixtures the batch engine's node-model destination
 // tree equals Solver.DestTable parent for parent and distance for
-// distance, with the bucket frontier and with the binary heap.
+// distance.
 func TestNodeDestTreeSharedBySolver(t *testing.T) {
+	sv := NewSolver()
 	for seed := uint64(1); seed <= 4; seed++ {
 		g, ap := quarterUDG(300, seed)
 		bs := acquireBatch(g.N())
 		bs.loadNode(g, ap)
 		bs.destTree(ap)
-		for _, sv := range []*Solver{NewSolver(), NewSolver(WithFrontier(sp.FrontierBinary))} {
-			want := sv.DestTable(g, ap)
-			for v := 0; v < g.N(); v++ {
-				if math.Float64bits(bs.dist[v]) != math.Float64bits(want.Dist[v]) || int(bs.parent[v]) != want.Parent[v] {
-					t.Fatalf("seed=%d node %d: dist %v parent %d, want %v parent %d",
-						seed, v, bs.dist[v], bs.parent[v], want.Dist[v], want.Parent[v])
-				}
+		want := sv.DestTable(g, ap)
+		for v := 0; v < g.N(); v++ {
+			if math.Float64bits(bs.dist[v]) != math.Float64bits(want.Dist[v]) || int(bs.parent[v]) != want.Parent[v] {
+				t.Fatalf("seed=%d node %d: dist %v parent %d, want %v parent %d",
+					seed, v, bs.dist[v], bs.parent[v], want.Dist[v], want.Parent[v])
 			}
 		}
 		batchPool.Put(bs)

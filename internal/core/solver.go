@@ -26,31 +26,11 @@ import (
 // O((n+m) log n) heap loop should dominate, not the allocator.
 type Solver struct {
 	pool sync.Pool
-
-	// frontier is the Workspace frontier policy applied to every
-	// pooled workspace (FrontierAuto unless overridden — the oracle
-	// forces FrontierBinary to differentially pin the bucket queue).
-	frontier sp.Frontier
-}
-
-// SolverOption configures a Solver at construction.
-type SolverOption func(*Solver)
-
-// WithFrontier fixes the priority-queue policy of the solver's
-// Dijkstra workspaces (see sp.Frontier).
-func WithFrontier(f sp.Frontier) SolverOption {
-	return func(sv *Solver) { sv.frontier = f }
 }
 
 // NewSolver returns an empty solver; workspaces are created on demand
 // and recycled across calls.
-func NewSolver(opts ...SolverOption) *Solver {
-	sv := &Solver{}
-	for _, o := range opts {
-		o(sv)
-	}
-	return sv
-}
+func NewSolver() *Solver { return &Solver{} }
 
 // defaultSolver backs UnicastQuote so every caller shares one warm
 // workspace pool.
@@ -65,8 +45,6 @@ func (sv *Solver) acquire(n int) *solverSpace {
 		obsPoolHits.Inc()
 	}
 	w.resize(n)
-	w.wsS.SetFrontier(sv.frontier)
-	w.wsT.SetFrontier(sv.frontier)
 	return w
 }
 
@@ -234,7 +212,7 @@ type solverSpace struct {
 	wsS, wsT *sp.Workspace // source-rooted and scratch/target-rooted trees
 
 	// Fast-engine scratch (see fastReplacement in fast.go).
-	bushQ                           pq.Queue
+	bushQ                           *pq.Binary
 	levelSet, inBush, done          *sp.Marks
 	pos, level                      []int32
 	rAvoid, cAvoid                  []float64

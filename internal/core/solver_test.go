@@ -191,29 +191,6 @@ func TestSolverConcurrent(t *testing.T) {
 	}
 }
 
-// TestAllQuotesFrontierForcedBinary pins that WithFrontier(binary) and
-// the default auto policy produce identical quotes from every source
-// on quantized costs — the solver-level face of the bucket-queue
-// equivalence.
-func TestAllQuotesFrontierForcedBinary(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 3))
-	g := graph.RandomBiconnected(48, 3.0/48, rng)
-	for v := 0; v < g.N(); v++ {
-		g.SetCost(v, 0.5+float64(rng.IntN(12))/4)
-	}
-	auto, bin := NewSolver(), NewSolver(WithFrontier(sp.FrontierBinary))
-	for s := 0; s < g.N(); s++ {
-		if s == 1 {
-			continue
-		}
-		a, aerr := auto.Quote(g, s, 1, EngineFast)
-		b, berr := bin.Quote(g, s, 1, EngineFast)
-		if aerr != berr || !reflect.DeepEqual(a, b) {
-			t.Fatalf("source %d: bucket-frontier quote %v (err %v), forced-binary %v (err %v)", s, a, aerr, b, berr)
-		}
-	}
-}
-
 // TestSolverWarm: Warm absorbs all pool misses up front, so every
 // quote after startup is a pool hit — the property the serving
 // daemon relies on so request one doesn't pay workspace construction.

@@ -13,9 +13,8 @@ import (
 
 // quarterUDG draws the serving fixture shape: n nodes uniform in a
 // 2000 m square with a 300 m range, one connected component, declared
-// costs in quarter units on [1, 10] (the fixed-point regime the
-// bucket frontier negotiates), and the node nearest the centre as the
-// access point.
+// costs in quarter units on [1, 10] (exact, see graph.CostQuantum),
+// and the node nearest the centre as the access point.
 func quarterUDG(n int, seed uint64) (*graph.NodeGraph, int) {
 	const side, radio = 2000.0, 300.0
 	for attempt := uint64(0); ; attempt++ {
@@ -68,10 +67,10 @@ func TestQuoteIntoTowardBitIdentical(t *testing.T) {
 	quarter, qap := quarterUDG(300, 1)
 	continuous, _, cAP := udgFixture(300, 2)
 	if _, ok := quarter.CostQuantum(); !ok {
-		t.Fatal("quarter-unit fixture does not negotiate the fixed-point regime")
+		t.Fatal("quarter-unit fixture is not exact")
 	}
 	if _, ok := continuous.CostQuantum(); ok {
-		t.Fatal("continuous-cost fixture negotiated the fixed-point regime")
+		t.Fatal("continuous-cost fixture is exact")
 	}
 	sv := NewSolver()
 	for _, fx := range []struct {

@@ -29,7 +29,7 @@ type NodeGraph struct {
 	// shared with cost views, which share the topology, and dropped on
 	// every edge mutation.
 	csr *csrBox
-	// quant caches the fixed-point cost regime (see quantum.go). It
+	// quant caches the cost vector's exactness test (see quantum.go). It
 	// belongs to the cost vector, not the topology: cost views get
 	// fresh boxes, and any SetCost drops it.
 	quant *quantBox

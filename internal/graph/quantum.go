@@ -6,44 +6,40 @@ import (
 	"sync/atomic"
 )
 
-// This file negotiates the fixed-point cost regime that lets the
-// shortest-path layer swap its comparison heap for a monotone bucket
-// queue (internal/pq.Bucket): when every declared cost is an exact
-// multiple of a power-of-two quantum 1/Scale, every Dijkstra distance
-// is an exact integer multiple of the quantum too (sums of integers
-// below 2^53 are exact in float64), so tentative distances can index
-// bucket rows directly instead of paying O(log n) comparisons.
+// This file decides whether a cost vector is exact: whether every
+// declared cost is a multiple of one power-of-two quantum 1/Scale no
+// finer than 2^-20, with n·max(cost)·Scale below 2^52. Then every path
+// sum is an integer multiple of the quantum below 2^53, so float64
+// addition of costs is exact in any order and every engine computes
+// the same bits. The node-model engines rely on it to route along one
+// destination tree and to skip the per-source Dijkstra (see
+// core.Solver.QuoteIntoToward and core.AllUnicastQuotes); the daemon
+// relies on it to serve a whole epoch from one all-sources pass.
 //
-// The negotiation is a property of the declared cost vector, cached
-// beside the CSR adjacency view and invalidated by the same mutation
+// The test is a property of the declared cost vector, cached beside
+// the CSR adjacency view and invalidated by the same mutation
 // discipline: any SetCost drops it, and the next CostQuantum call
 // renegotiates. Cost views (WithCost/WithCosts) carry their own cost
 // vectors and therefore their own quantum caches, while sharing the
 // CSR topology box.
 
-// CostQuantum is a negotiated fixed-point regime for a cost vector.
+// CostQuantum is the grid an exact cost vector sits on.
 type CostQuantum struct {
 	// Scale is the exact power-of-two multiplier mapping every cost
 	// onto a non-negative integer: Cost(v)*Scale is integral for all v.
 	Scale float64
-	// Span is the largest scaled cost, rounded up and floored at 1 —
-	// the width of the key window a monotone Dijkstra run can occupy,
-	// and hence the bucket-row count a circular bucket queue needs.
-	Span int64
 }
 
-// Quantum negotiation limits. The regime is meant for genuinely
-// quantized declarations (integer prices, power levels in fixed
-// steps); a vector needing a finer grid, a wider window, or sums
-// beyond exact float64 integers falls back to the comparison heap.
+// Exactness limits. A vector needing a finer grid, or whose path sums
+// could leave the exactly representable float64 integers, is not
+// exact.
 const (
 	quantMaxScalePow = 20      // finest quantum: 2^-20
-	quantMaxSpan     = 1 << 16 // widest bucket window
 	quantExactSum    = 1 << 52 // n·maxScaled must stay exactly summable
 )
 
 // quantCache is the immutable negotiation result behind the atomic
-// box; ok is false when the cost vector does not admit the regime.
+// box; ok is false when the cost vector is not exact.
 type quantCache struct {
 	q  CostQuantum
 	ok bool
@@ -64,10 +60,10 @@ func (b *quantBox) invalidate() {
 	}
 }
 
-// CostQuantum returns the fixed-point regime of the current cost
-// vector, negotiating and caching it on first use. ok is false when
-// the costs do not quantize (non-finite, finer than 2^-20, window or
-// magnitude overflow); callers must then stay on the comparison heap.
+// CostQuantum returns the grid of the current cost vector, negotiating
+// and caching it on first use. ok is false when the costs are not
+// exact (non-finite, finer than 2^-20, or sums beyond 2^52 quanta);
+// callers must then make no assumption about summation order.
 //
 //lint:writer racing negotiators construct identical caches from the same cost vector; the CAS loser discards its copy unpublished
 func (g *NodeGraph) CostQuantum() (CostQuantum, bool) {
@@ -83,8 +79,8 @@ func (g *NodeGraph) CostQuantum() (CostQuantum, bool) {
 }
 
 // negotiateQuantum scans a cost vector for the coarsest power-of-two
-// scale that maps every entry onto an integer, subject to the window
-// and exact-summation limits.
+// scale that maps every entry onto an integer, subject to the
+// exact-summation limit.
 func negotiateQuantum(costs []float64) *quantCache {
 	pow := 0
 	maxCost := 0.0
@@ -104,21 +100,10 @@ func negotiateQuantum(costs []float64) *quantCache {
 		}
 	}
 	scale := float64(int64(1) << pow) // exact
-	maxScaled := maxCost * scale      // product of exact values; checked below
-	if maxScaled > quantMaxSpan {
+	if float64(len(costs))*(maxCost*scale) > quantExactSum {
 		return &quantCache{}
 	}
-	if float64(len(costs))*maxScaled > quantExactSum {
-		return &quantCache{}
-	}
-	span := int64(maxScaled)
-	if float64(span) < maxScaled {
-		span++ // defensive: maxScaled is integral, but never round down
-	}
-	if span < 1 {
-		span = 1
-	}
-	return &quantCache{q: CostQuantum{Scale: scale, Span: span}, ok: true}
+	return &quantCache{q: CostQuantum{Scale: scale}, ok: true}
 }
 
 // quantPow returns the smallest k ≤ quantMaxScalePow such that

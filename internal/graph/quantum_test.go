@@ -19,21 +19,26 @@ func TestCostQuantumNegotiation(t *testing.T) {
 		costs     []float64
 		wantOK    bool
 		wantScale float64
-		wantSpan  int64
 	}{
-		{"integers", []float64{0, 1, 5, 3}, true, 1, 5},
-		{"all zero", []float64{0, 0, 0}, true, 1, 1},
-		{"quarters", []float64{0.25, 1.75, 2}, true, 4, 8},
-		{"halves and integers", []float64{0.5, 3}, true, 2, 6},
-		{"finest allowed", []float64{1.0 / (1 << 20)}, true, 1 << 20, 1},
-		{"too fine", []float64{1.0 / (1 << 21)}, false, 0, 0},
-		{"not dyadic", []float64{1.0 / 3.0}, false, 0, 0},
-		{"span at limit", []float64{1 << 16}, true, 1, 1 << 16},
-		{"span overflow", []float64{1<<16 + 1}, false, 0, 0},
-		{"infinite cost", []float64{Inf}, false, 0, 0},
-		// A fine quantum forced by one cost can push another cost's
-		// scaled value over the window even though each alone is fine.
-		{"mixed scale overflow", []float64{1.0 / 1024, 1 << 7}, false, 0, 0},
+		{"integers", []float64{0, 1, 5, 3}, true, 1},
+		{"all zero", []float64{0, 0, 0}, true, 1},
+		{"quarters", []float64{0.25, 1.75, 2}, true, 4},
+		{"halves and integers", []float64{0.5, 3}, true, 2},
+		{"finest allowed", []float64{1.0 / (1 << 20)}, true, 1 << 20},
+		{"too fine", []float64{1.0 / (1 << 21)}, false, 0},
+		{"not dyadic", []float64{1.0 / 3.0}, false, 0},
+		{"infinite cost", []float64{Inf}, false, 0},
+		// Exactness has no window: a wide span of grid costs is exact
+		// as long as the path sums stay below 2^52 quanta.
+		{"span at limit", []float64{1 << 16}, true, 1},
+		{"span overflow", []float64{1<<16 + 1}, true, 1},
+		{"mixed scale overflow", []float64{1.0 / 1024, 1 << 7}, true, 1024},
+		// n·max must stay exactly summable: two nodes of 2^51 sum to
+		// 2^52 quanta, two of 2^52 do not, and a fine quantum forced by
+		// one cost scales the other's quanta up with it.
+		{"sum at limit", []float64{1 << 51, 1 << 51}, true, 1},
+		{"sum overflow", []float64{1 << 52, 1}, false, 0},
+		{"fine grid sum overflow", []float64{1.0 / (1 << 20), 1 << 32}, false, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,15 +50,15 @@ func TestCostQuantumNegotiation(t *testing.T) {
 			if !ok {
 				return
 			}
-			if q.Scale != tc.wantScale || q.Span != tc.wantSpan {
-				t.Fatalf("quantum = %+v, want {Scale:%v Span:%d}", q, tc.wantScale, tc.wantSpan)
+			if q.Scale != tc.wantScale {
+				t.Fatalf("quantum = %+v, want {Scale:%v}", q, tc.wantScale)
 			}
 			// The negotiated contract: every cost lands exactly on the
-			// grid and inside the window.
+			// grid, and n times the largest stays exactly summable.
 			for v := range tc.costs {
 				s := g.Cost(v) * q.Scale
-				if s != float64(int64(s)) || int64(s) > q.Span {
-					t.Fatalf("cost %v scales to %v, off the negotiated grid/window", g.Cost(v), s)
+				if s != float64(int64(s)) || float64(len(tc.costs))*s > 1<<52 {
+					t.Fatalf("cost %v scales to %v, off the grid or beyond exact sums", g.Cost(v), s)
 				}
 			}
 		})
@@ -102,7 +107,7 @@ func TestCostQuantumConcurrentNegotiation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			q, ok := g.CostQuantum()
-			if !ok || q.Scale != 2 || q.Span != 4 {
+			if !ok || q.Scale != 2 {
 				t.Errorf("concurrent negotiation = (%+v, %v)", q, ok)
 			}
 		}()

@@ -37,10 +37,10 @@ func unannotated(n int) []int {
 	return make([]int, n)
 }
 
-// sortRow mirrors the bucket queue's dirty-row re-sort done wrong:
+// sortRow mirrors a priority-ordered row re-sort done wrong:
 // sort.Slice boxes the slice into an interface, a heap escape on
-// every call — the reason the real bucket (internal/pq) sorts with
-// the generic slices.Sort instead.
+// every call — the reason hot paths sort with the generic
+// slices.Sort instead.
 //
 //lint:noalloc knowingly wrong; interface boxing on the sort call
 func sortRow(row []int, prio []float64) {
@@ -60,7 +60,7 @@ func relaxInto(ch chan []int, n int) {
 	ch <- buf
 }
 
-// growRows is the clean bucket-shaped case the gate must accept:
+// growRows is the clean row-append case the gate must accept:
 // appending into caller-owned rows (amortized growth through
 // runtime.growslice) is not a per-call heap escape.
 //

@@ -30,7 +30,6 @@ import (
 	"truthroute/internal/dist"
 	"truthroute/internal/graph"
 	"truthroute/internal/mechanism"
-	"truthroute/internal/sp"
 )
 
 // Options selects which invariants CheckInstance verifies and how
@@ -227,14 +226,32 @@ func LinkEmbed(g *graph.NodeGraph) *graph.LinkGraph {
 //	p^e = D_{G−e}(s,t) − (D_G(s,t) − w_e),
 //
 // and the naive node engine on sub is a reference for
-// core.EdgeVCGQuote. g's own nodes are not agents; their payments on
-// sub are ignored.
+// core.EdgeVCGQuote. g's own nodes are not agents, so the reference
+// prices only the edge nodes (see edgeOnly).
 type edgeInstance struct {
 	ew  *graph.EdgeWeighted
 	sub *graph.NodeGraph
-	// exact: sub's costs negotiate a fixed-point quantum, so every
+	n   int // g's node count: sub's nodes n.. are its edges
+	// exact: sub's costs are exact (graph.CostQuantum), so every
 	// sum is exact and payments must agree bit for bit.
 	exact bool
+	// self[i] = n+i, so self[i:i+1] is edge node n+i's own avoiding
+	// set without an allocation per relay.
+	self []int
+}
+
+// edgeOnly is the avoiding-set function of the subdivided reference:
+// each edge node avoids itself, g's own nodes avoid nothing and so go
+// unpriced. core.SetQuote then runs the naive engine's operations —
+// the same path, one Dijkstra with the relay banned, the same
+// repl − cost + c sum — for the edge nodes only, half the Dijkstra
+// runs of core.UnicastQuote(sub, …, core.EngineNaive) with the same
+// bits.
+func (in edgeInstance) edgeOnly(k int) []int {
+	if k < in.n {
+		return nil
+	}
+	return in.self[k-in.n : k-in.n+1]
 }
 
 func subdivide(g *graph.NodeGraph) edgeInstance {
@@ -249,20 +266,24 @@ func subdivide(g *graph.NodeGraph) edgeInstance {
 		sub.AddEdge(u, n+i)
 		sub.AddEdge(n+i, v)
 	}
+	self := make([]int, len(edges))
+	for i := range self {
+		self[i] = n + i
+	}
 	_, exact := sub.CostQuantum()
-	return edgeInstance{ew: ew, sub: sub, exact: exact}
+	return edgeInstance{ew: ew, sub: sub, n: n, exact: exact, self: self}
 }
 
 // checkEdge holds both edge-agent engines' quotes for (s,t) to the
-// naive node quote on the subdivision: the same cost, and on the same
-// path the same payment per edge, bitwise when the instance is exact
-// and at tol otherwise. A different path of the same cost is a tie
-// and skipped under its own note: on exact costs the node engines
-// route along the destination tree, the edge engine along the source
-// tree.
+// naive node quote on the subdivision (edge nodes priced only, see
+// edgeOnly): the same cost, and on the same path the same payment per
+// edge, bitwise when the instance is exact and at tol otherwise. A
+// different path of the same cost is a tie and skipped under its own
+// note: on exact costs the node engines route along the destination
+// tree, the edge engine along the source tree.
 func checkEdge(res *Result, in edgeInstance, s, t int, tol float64) {
 	const check = "engine-edge"
-	ref, rerr := core.UnicastQuote(in.sub, s, t, core.EngineNaive)
+	ref, rerr := core.SetQuote(in.sub, s, t, in.edgeOnly)
 	same := func(a, b float64) bool {
 		if in.exact {
 			return math.Float64bits(a) == math.Float64bits(b)
@@ -329,14 +350,11 @@ func compareQuote(r *Result, check string, ref, got *core.Quote, costShift, tol 
 
 // exactQuote holds an engine to BITWISE agreement with the naive
 // reference: identical path, identical cost bits, identical payment
-// bits. The bucket frontier earns this stricter bar because its
-// relaxation schedule provably reproduces the binary-heap Dijkstra
-// tree entry for entry (see the determinism argument in
-// pq/bucket.go), so any drift, even one ulp or a differently broken
-// tie, is a bug, not a tie. The batch and fast engines earn it on
-// quantized costs: there every sum is exact, so their payments cannot
-// depend on summation order, and every node-model engine routes along
-// the same destination tree, so a different path is a bug too.
+// bits. The batch and fast engines earn this stricter bar on exact
+// costs (graph.CostQuantum): there every sum is exact, so their
+// payments cannot depend on summation order, and every node-model
+// engine routes along the same destination tree, so a different path,
+// or any drift of even one ulp, is a bug, not a tie.
 func exactQuote(r *Result, check string, ref, got *core.Quote) {
 	r.check(check)
 	if !samePath(ref.Path, got.Path) {
@@ -383,18 +401,11 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 	edge := subdivide(g)
 	allLink := core.AllLinkQuotes(lg, dest)
 
-	// When the cost vector admits a fixed-point quantum, every sum is
+	// When the cost vector is exact (graph.CostQuantum), every sum is
 	// exact and every engine follows the destination tree, so the
 	// batch and fast quotes are held to bitwise agreement, path
-	// included (see exactQuote). The default solver's auto policy then
-	// also runs Dijkstra on the monotone bucket queue; a solver pinned
-	// to the binary heap differentially verifies that the two frontiers
-	// break every tie identically.
+	// included (see exactQuote).
 	_, quantOK := g.CostQuantum()
-	var binSv *core.Solver
-	if quantOK {
-		binSv = core.NewSolver(core.WithFrontier(sp.FrontierBinary))
-	}
 
 	var scaled *graph.NodeGraph
 	var perm []int
@@ -467,13 +478,6 @@ func CheckInstance(g *graph.NodeGraph, dest int, opt Options) *Result {
 			res.violate("engine-link", s, dest, -1, "batch link engine found no path")
 		} else {
 			compareQuote(res, "engine-link-batch", naive, allLink[s], g.Cost(s), opt.Tol)
-		}
-		if binSv != nil {
-			if bq, berr := binSv.Quote(g, s, dest, core.EngineNaive); berr != nil {
-				res.violate("engine-frontier", s, dest, -1, "forced-binary solver errored: %v", berr)
-			} else {
-				exactQuote(res, "engine-frontier", naive, bq)
-			}
 		}
 
 		checkNeighborhood(res, g, naive, opt)

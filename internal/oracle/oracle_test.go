@@ -127,7 +127,6 @@ func TestCheckInstanceFixtures(t *testing.T) {
 			t.Errorf("%s: %s", name, v)
 		}
 		for _, want := range []string{"engine-batch", "engine-set", "engine-link",
-			"engine-frontier",
 			"brute-reference", "neighborhood-brute", "individual-rationality",
 			"truthfulness", "meta-scaling", "meta-relabel", "meta-monotone",
 			"well-formed", "distributed"} {

@@ -1,8 +1,9 @@
 package pq
 
-// Binary is an indexed array-backed binary min-heap. The pos slice
-// maps item ids to their index in the heap array (-1 when absent),
-// enabling O(log n) DecreaseKey.
+// Binary is an indexed array-backed binary min-heap. Items are dense
+// integer ids in [0, capacity), each queued at most once. The pos
+// slice maps item ids to their index in the heap array (-1 when
+// absent), enabling O(log n) DecreaseKey.
 type Binary struct {
 	ids  []int     // heap array of item ids
 	prio []float64 // prio[i] is the priority of item id i
@@ -27,7 +28,8 @@ func NewBinary(capacity int) *Binary {
 func (b *Binary) Len() int { return len(b.ids) }
 
 // Reset empties the heap in O(queued items), keeping the backing
-// arrays for reuse.
+// arrays for reuse; this is what lets a solver workspace amortize one
+// heap across many Dijkstra runs.
 func (b *Binary) Reset() {
 	for _, id := range b.ids {
 		b.pos[id] = -1
@@ -38,15 +40,8 @@ func (b *Binary) Reset() {
 // Contains reports whether id is currently queued.
 func (b *Binary) Contains(id int) bool { return b.pos[id] >= 0 }
 
-// Priority returns the current priority of a queued id.
-func (b *Binary) Priority(id int) float64 {
-	if b.pos[id] < 0 {
-		panic("pq: Priority of item not in queue")
-	}
-	return b.prio[id]
-}
-
-// Push inserts id with the given priority.
+// Push inserts id with the given priority. It panics if id is
+// already queued or out of range.
 func (b *Binary) Push(id int, priority float64) {
 	if b.pos[id] >= 0 {
 		panic("pq: Push of item already in queue")
@@ -57,7 +52,8 @@ func (b *Binary) Push(id int, priority float64) {
 	b.up(len(b.ids) - 1)
 }
 
-// Pop removes and returns the minimum-priority item.
+// Pop removes and returns the item with the smallest priority,
+// breaking ties by smaller id.
 func (b *Binary) Pop() (int, float64) {
 	if len(b.ids) == 0 {
 		panic("pq: Pop from empty queue")
@@ -74,7 +70,8 @@ func (b *Binary) Pop() (int, float64) {
 	return id, p
 }
 
-// DecreaseKey lowers the priority of a queued id.
+// DecreaseKey lowers the priority of a queued id. It panics if id is
+// not queued or the new priority is greater than the current one.
 func (b *Binary) DecreaseKey(id int, priority float64) {
 	i := b.pos[id]
 	if i < 0 {

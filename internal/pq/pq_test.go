@@ -7,12 +7,10 @@ import (
 	"testing/quick"
 )
 
-// implementations under test, constructed fresh per case.
-var makers = map[string]func(cap int) Queue{
-	"binary": func(c int) Queue { return NewBinary(c) },
-	// The shared cases all use integer priorities no more than 64
-	// apart at any moment, which is inside the bucket regime.
-	"bucket": func(c int) Queue { return NewBucket(c, 1, 64) },
+// makers constructs the queue under test fresh per case, keyed by
+// the subtest name.
+var makers = map[string]func(cap int) *Binary{
+	"binary": NewBinary,
 }
 
 func TestPushPopSorted(t *testing.T) {
@@ -64,9 +62,6 @@ func TestDecreaseKeyReordering(t *testing.T) {
 			q.Push(1, 20)
 			q.Push(2, 30)
 			q.DecreaseKey(2, 5)
-			if got := q.Priority(2); got != 5 {
-				t.Fatalf("Priority(2) = %v, want 5", got)
-			}
 			id, p := q.Pop()
 			if id != 2 || p != 5 {
 				t.Fatalf("Pop = (%d, %v), want (2, 5)", id, p)
@@ -144,15 +139,14 @@ func TestPanics(t *testing.T) {
 			mustPanic("double push", func() { q.Push(0, 1) })
 			mustPanic("decrease absent", func() { q.DecreaseKey(1, 1) })
 			mustPanic("increase key", func() { q.DecreaseKey(0, 6) })
-			mustPanic("priority absent", func() { q.Priority(1) })
 		})
 	}
 }
 
 // TestQuickHeapsAgree drives the binary heap and the container/heap
 // referee with the same random operation sequence — arbitrary
-// priorities and decrease-keys, outside the bucket's monotone,
-// quantized regime — and checks they stay observationally identical.
+// priorities and decrease-keys — and checks they stay observationally
+// identical.
 func TestQuickHeapsAgree(t *testing.T) {
 	f := func(seed uint64, opsRaw []byte) bool {
 		const capSize = 32
@@ -191,7 +185,7 @@ func TestQuickHeapsAgree(t *testing.T) {
 					id = k
 					break
 				}
-				np := b.Priority(id) * (float64(rng.IntN(100)) / 100)
+				np := ref.prio[id] * (float64(rng.IntN(100)) / 100)
 				b.DecreaseKey(id, np)
 				ref.decrease(id, np)
 			}
@@ -216,7 +210,7 @@ func TestQuickHeapsAgree(t *testing.T) {
 	}
 }
 
-func benchHeapsort(b *testing.B, mk func(int) Queue, n int) {
+func benchHeapsort(b *testing.B, mk func(int) *Binary, n int) {
 	rng := rand.New(rand.NewPCG(42, 0))
 	prios := make([]float64, n)
 	for i := range prios {

@@ -2,8 +2,8 @@ package pq
 
 import "testing"
 
-func testReset(t *testing.T, q Queue) {
-	t.Helper()
+func TestBinaryReset(t *testing.T) {
+	q := NewBinary(10)
 	q.Push(3, 5)
 	q.Push(1, 2)
 	q.Push(7, 9)
@@ -32,9 +32,3 @@ func testReset(t *testing.T, q Queue) {
 		t.Fatal("Reset of empty queue left items")
 	}
 }
-
-func TestBinaryReset(t *testing.T) { testReset(t, NewBinary(10)) }
-
-// The reset exercise uses half-integer priorities, so the bucket runs
-// it at scale 2 (quantum 1/2).
-func TestBucketReset(t *testing.T) { testReset(t, NewBucket(10, 2, 32)) }

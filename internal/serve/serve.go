@@ -27,7 +27,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -52,9 +51,6 @@ type Config struct {
 	// Retry-After hint instead of building an unbounded backlog.
 	// 0 means DefaultMaxInFlight.
 	MaxInFlight int
-	// WarmWorkspaces pre-populates each shard's solver pool with this
-	// many workspaces at construction. 0 means GOMAXPROCS.
-	WarmWorkspaces int
 }
 
 // Server is the sharded quote service. It implements http.Handler;
@@ -86,9 +82,6 @@ func New(g *graph.NodeGraph, cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultMaxInFlight
 	}
-	if cfg.WarmWorkspaces <= 0 {
-		cfg.WarmWorkspaces = runtime.GOMAXPROCS(0)
-	}
 	n := g.N()
 	s := &Server{
 		n:        n,
@@ -102,7 +95,7 @@ func New(g *graph.NodeGraph, cfg Config) *Server {
 			s.shardOf[v] = int32(i)
 			s.local[v] = int32(li)
 		}
-		s.shards = append(s.shards, newShard(i, g, comp, cfg.WarmWorkspaces))
+		s.shards = append(s.shards, newShard(i, g, comp))
 	}
 	obsShards.Set(int64(len(s.shards)))
 	obsNodes.Set(int64(n))

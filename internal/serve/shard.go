@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,11 +82,12 @@ func newSnapshot(epoch uint64, g *graph.NodeGraph) *snapshot {
 	return &snapshot{epoch: epoch, g: g, node: make([]nodeCache, g.N())}
 }
 
-// newShard carves component comp out of g, warms the shard's solver
-// pool, publishes epoch 1, and starts the single writer.
+// newShard carves component comp out of g, warms one solver
+// workspace per GOMAXPROCS, publishes epoch 1, and starts the single
+// writer.
 //
 //lint:writer newShard publishes epoch 1 before any reader can hold the shard
-func newShard(id int, g *graph.NodeGraph, comp []int, warm int) *shard {
+func newShard(id int, g *graph.NodeGraph, comp []int) *shard {
 	sub := g.InducedSubgraph(comp)
 	sub.CSR() // built once here; every epoch's cost view shares it
 	sh := &shard{
@@ -95,7 +97,7 @@ func newShard(id int, g *graph.NodeGraph, comp []int, warm int) *shard {
 		batches: make(chan batchReq),
 		done:    make(chan struct{}),
 	}
-	sh.solver.Warm(sub.N(), warm)
+	sh.solver.Warm(sub.N(), runtime.GOMAXPROCS(0))
 	sh.snap.Store(newSnapshot(1, sub))
 	go sh.writer()
 	return sh

@@ -69,46 +69,13 @@ func (m *Marks) Has(id int) bool { return m.gen[id] == m.cur }
 // run on the same workspace. A Workspace is not safe for concurrent
 // use; pool one per worker (see core.Solver).
 type Workspace struct {
-	n        int
-	tree     Tree
-	q        pq.Queue
-	touched  []int
-	frontier Frontier
-
-	// Monotone bucket frontier, created lazily the first time a run
-	// sees a graph whose cost vector negotiates a fixed-point regime
-	// (graph.CostQuantum) and reused while the regime parameters fit.
-	bucket *pq.Bucket
-	bScale float64
-	bSpan  int64
-	bCap   int
+	n       int
+	tree    Tree
+	q       *pq.Binary
+	touched []int
 }
 
-// Frontier selects the priority-queue implementation a Workspace run
-// uses for node-weighted Dijkstra.
-type Frontier int
-
-const (
-	// FrontierAuto engages the monotone bucket queue whenever the
-	// graph's declared cost vector negotiates a fixed-point regime
-	// (see graph.CostQuantum), and falls back to the comparison heap
-	// otherwise. This is the default: on quantized costs the bucket
-	// pops in exactly the binary heap's (priority, id) order, so the
-	// choice is invisible in outputs and only visible in ns/op.
-	FrontierAuto Frontier = iota
-	// FrontierBinary forces the comparison heap even when the cost
-	// regime would admit the bucket. The oracle uses it to
-	// differentially pin the equivalence, and ablation benchmarks use
-	// it to measure the bucket's win.
-	FrontierBinary
-)
-
-// SetFrontier selects the frontier policy for subsequent runs.
-func (w *Workspace) SetFrontier(f Frontier) { w.frontier = f }
-
-// NewWorkspace returns a workspace for graphs with n nodes. Its heap
-// frontier is a binary heap; SetFrontier decides whether runs use it
-// or the bucket queue.
+// NewWorkspace returns a workspace for graphs with n nodes.
 func NewWorkspace(n int) *Workspace {
 	w := &Workspace{}
 	w.Resize(n)
@@ -132,12 +99,10 @@ func (w *Workspace) Resize(n int) {
 }
 
 // begin rolls back the previous run's writes and primes the tree for
-// a new source. q is the frontier the coming run will use; only it is
-// reset (the workspace may hold both a heap and a bucket, and the
-// idle one is already empty).
+// a new source.
 //
 //lint:noalloc rollback runs before every query; it must stay O(touched) with no heap traffic
-func (w *Workspace) begin(src int, q pq.Queue) *Tree {
+func (w *Workspace) begin(src int) *Tree {
 	obsRollback.Observe(float64(len(w.touched)))
 	t := &w.tree
 	for _, v := range w.touched {
@@ -147,41 +112,8 @@ func (w *Workspace) begin(src int, q pq.Queue) *Tree {
 	w.touched = w.touched[:0]
 	t.Order = t.Order[:0]
 	t.Src = src
-	q.Reset()
+	w.q.Reset()
 	return t
-}
-
-// frontierFor picks the frontier for a node-weighted run on g: the
-// monotone bucket queue when policy allows and g's cost vector
-// negotiates a fixed-point regime, the comparison heap otherwise.
-// Dijkstra satisfies the bucket's contract by construction — popped
-// distances are non-decreasing and every tentative distance is
-// settled-distance + one quantized relay cost, inside the negotiated
-// window — so regime negotiation is the only gate needed.
-//
-//lint:noalloc frontier choice happens on every query; (re)construction is outlined cold
-func (w *Workspace) frontierFor(g *graph.NodeGraph) pq.Queue {
-	if w.frontier != FrontierAuto {
-		return w.q
-	}
-	quant, ok := g.CostQuantum()
-	if !ok {
-		return w.q
-	}
-	//lint:allow floatcmp exact cache-hit test: scales are powers of two and must match bit-for-bit to reuse the rows
-	if w.bucket == nil || w.bScale != quant.Scale || w.bSpan < quant.Span || w.bCap < w.n {
-		w.rebuildBucket(quant)
-	}
-	return w.bucket
-}
-
-// rebuildBucket (re)constructs the bucket frontier for a newly seen
-// regime. Outlined so the allocation stays off the query hot path.
-//
-//go:noinline
-func (w *Workspace) rebuildBucket(quant graph.CostQuantum) {
-	w.bucket = pq.NewBucket(w.n, quant.Scale, quant.Span)
-	w.bScale, w.bSpan, w.bCap = quant.Scale, quant.Span, w.n
 }
 
 // touch records the first write to v's tree entry.
@@ -195,11 +127,11 @@ func (w *Workspace) touch(v int) { w.touched = append(w.touched, v) }
 //lint:noalloc the steady-state query loop; growth allocations belong to Resize, not here
 func (w *Workspace) NodeDijkstra(g *graph.NodeGraph, src int, banned []bool) *Tree {
 	w.Resize(g.N())
-	q := w.frontierFor(g)
-	t := w.begin(src, q)
+	t := w.begin(src)
 	csr := g.CSR()
 	t.Dist[src] = 0
 	w.touch(src)
+	q := w.q
 	q.Push(src, 0)
 	for q.Len() > 0 {
 		u, du := q.Pop()
@@ -235,15 +167,13 @@ func (w *Workspace) NodeDijkstra(g *graph.NodeGraph, src int, banned []bool) *Tr
 	return t
 }
 
-// LinkDijkstra is LinkDijkstra into this workspace. Link runs always
-// use the comparison heap: LinkGraph has no fixed-point cost
-// negotiation (arc weights are continuous power costs), so there is
-// no bucket regime to engage.
+// LinkDijkstra is LinkDijkstra into this workspace: same contract,
+// same settle order, zero allocations in the steady state.
 //
 //lint:noalloc the steady-state query loop; growth allocations belong to Resize, not here
 func (w *Workspace) LinkDijkstra(g *graph.LinkGraph, src int, banned []bool) *Tree {
 	w.Resize(g.N())
-	t := w.begin(src, w.q)
+	t := w.begin(src)
 	t.Dist[src] = 0
 	w.touch(src)
 	q := w.q

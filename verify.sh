@@ -125,7 +125,7 @@ stage_race() (
 )
 
 stage_bench() (
-    # ns/op regression gate: the bucket-frontier Dijkstra, the
+    # ns/op regression gate: the workspace Dijkstra, the
     # fast-engine payment path, the all-sources engines, the serving
     # memo miss, an epoch's first miss, the socket-free binary
     # frame path and a paper deployment's graph construction are held to
@@ -137,7 +137,7 @@ stage_bench() (
     # GATETIME trades gate fidelity for speed.
     set -x
     go run ./cmd/benchreport -pkg ./... \
-        -bench 'BenchmarkDijkstraBucket$|BenchmarkPaymentFast|BenchmarkAllSources(Link|Node)UDG300$|BenchmarkAllSourcesLinkUDG500$|BenchmarkServeQuoteMissUDG300$|BenchmarkServeEpochFirstMissUDG300$|BenchmarkServeBinaryQuoteFrame$|BenchmarkDeploymentGraphsUDG300$' \
+        -bench 'BenchmarkDijkstraWorkspace$|BenchmarkPaymentFast|BenchmarkAllSources(Link|Node)UDG300$|BenchmarkAllSourcesLinkUDG500$|BenchmarkServeQuoteMissUDG300$|BenchmarkServeEpochFirstMissUDG300$|BenchmarkServeBinaryQuoteFrame$|BenchmarkDeploymentGraphsUDG300$' \
         -benchtime "${GATETIME:-0.3s}" -count 3 \
         -out /tmp/bench_gate.json -baseline BENCH_payments.json
     # Artifact regen: ns/op, B/op, allocs/op for the whole contracted
