@@ -97,7 +97,8 @@ const DefaultBenchPattern = "BenchmarkPayment|BenchmarkDijkstra|BenchmarkReplace
 const DefaultGatePattern = "^BenchmarkDijkstraWorkspace$|^BenchmarkPaymentFast|^BenchmarkAllSources(Link|Node)UDG300$|^BenchmarkAllSourcesLinkUDG500$|^BenchmarkServeQuoteMissUDG300$|^BenchmarkServeEpochFirstMissUDG300$|^BenchmarkServeBinaryQuoteFrame$|^BenchmarkDeploymentGraphsUDG300$"
 
 // RunBenchReport runs the payment/Dijkstra/protocol benchmark suite
-// under -benchmem and writes the parsed results as JSON — the harness
+// under -benchmem, one package at a time (go test -p 1), and writes
+// the parsed results as JSON — the harness
 // verify.sh uses to record before/after allocation numbers. With
 // -input it parses an existing `go test -bench` transcript (a file,
 // or "-" for stdin) instead of spawning the toolchain. Repeated runs
@@ -136,7 +137,9 @@ func RunBenchReport(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		transcript = f
 	default:
-		cmd := exec.Command("go", "test", "-run", "^$",
+		// -p 1 builds and runs one package at a time, so no package's
+		// compilation overlaps another package's timed benchmarks.
+		cmd := exec.Command("go", "test", "-p", "1", "-run", "^$",
 			"-bench", *bench, "-benchmem",
 			"-benchtime", *benchtime, "-count", strconv.Itoa(*count), *pkg)
 		cmd.Stderr = stderr

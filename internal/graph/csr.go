@@ -36,8 +36,10 @@ type csrBox struct {
 }
 
 // invalidate drops the cached view; called on every topology mutation.
+// It loads first, so a graph that has no view yet, as while a builder
+// adds its edges, pays no atomic store per edge.
 func (b *csrBox) invalidate() {
-	if b != nil {
+	if b != nil && b.p.Load() != nil {
 		b.p.Store(nil)
 	}
 }

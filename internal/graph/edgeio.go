@@ -34,8 +34,8 @@ func (g *EdgeWeighted) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	if w.N < 0 {
-		return fmt.Errorf("graph: negative node count %d", w.N)
+	if err := checkNodeCount(w.N, len(w.Edges)); err != nil {
+		return err
 	}
 	ew := NewEdgeWeighted(w.N)
 	for _, e := range w.Edges {

@@ -45,6 +45,64 @@ func NewNodeGraph(n int) *NodeGraph {
 	}
 }
 
+// NewNodeGraphFromRows returns a graph of len(start)-1 nodes of zero
+// cost in which node v's neighbours are nbr[start[v]:start[v+1]], so
+// every row shares nbr as its backing array. Each row is capped at its
+// own end: a later AddEdge, or a caller's append to a row, reallocates
+// that row alone. The rows are checked in O(len(nbr)): start must run
+// from 0 to len(nbr) without decreasing, and every row must be
+// strictly increasing, in range, free of self-loops and symmetric. It
+// panics otherwise, as AddEdge does.
+func NewNodeGraphFromRows(start, nbr []int) *NodeGraph {
+	n := checkRowStarts(start, len(nbr))
+	g := NewNodeGraph(n)
+	// seen[v] counts the entries below v in v's row that the rows of
+	// those neighbours have matched. The walk visits them in increasing
+	// order, so the matched entries are a prefix of v's row.
+	seen := make([]int, n)
+	for u := range n {
+		row := nbr[start[u]:start[u+1]:start[u+1]]
+		for k, v := range row {
+			switch {
+			case v < 0 || v >= n:
+				panic(fmt.Sprintf("graph: neighbour %d of node %d out of range", v, u))
+			case k > 0 && row[k-1] >= v:
+				panic(fmt.Sprintf("graph: row %d is not strictly increasing at %d", u, v))
+			case v == u:
+				panic(fmt.Sprintf("graph: self-loop at %d", u))
+			case v < u:
+				if k >= seen[u] {
+					panic(fmt.Sprintf("graph: edge {%d,%d} is missing from row %d", v, u, v))
+				}
+			default:
+				vrow := nbr[start[v]:start[v+1]]
+				if seen[v] >= len(vrow) || vrow[seen[v]] != u {
+					panic(fmt.Sprintf("graph: edge {%d,%d} is missing from row %d", u, v, v))
+				}
+				seen[v]++
+			}
+		}
+		if len(row) > 0 {
+			g.adj[u] = row
+		}
+	}
+	return g
+}
+
+// checkRowStarts checks the row offsets of a bulk-built graph against
+// its entry count and returns the node count.
+func checkRowStarts(start []int, m int) int {
+	if len(start) == 0 || start[0] != 0 || start[len(start)-1] != m {
+		panic(fmt.Sprintf("graph: row starts must run from 0 to %d", m))
+	}
+	for v := 1; v < len(start); v++ {
+		if start[v] < start[v-1] {
+			panic(fmt.Sprintf("graph: row %d starts after it ends", v-1))
+		}
+	}
+	return len(start) - 1
+}
+
 // N reports the number of nodes.
 func (g *NodeGraph) N() int { return len(g.cost) }
 

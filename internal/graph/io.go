@@ -97,8 +97,8 @@ func (g *LinkGraph) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	if w.N < 0 {
-		return fmt.Errorf("graph: negative node count %d", w.N)
+	if err := checkNodeCount(w.N, len(w.Arcs)); err != nil {
+		return err
 	}
 	lg := NewLinkGraph(w.N)
 	for _, a := range w.Arcs {
@@ -117,6 +117,28 @@ func (g *LinkGraph) UnmarshalJSON(data []byte) error {
 		lg.AddArc(a.From, a.To, a.W)
 	}
 	*g = *lg
+	return nil
+}
+
+// freeNodes is how many nodes a decoded arc or edge list may declare
+// beyond the endpoints its entries can name.
+const freeNodes = 1 << 16
+
+// checkNodeCount refuses a declared node count that the decoded input
+// cannot back, before the decoder allocates the n-row table: at most
+// 2^16 nodes plus two per listed arc or edge. The table then costs at
+// most 1.5 MB plus 48 bytes per entry, and every entry takes at least
+// two bytes of input, so a file of a few bytes cannot claim 10^12
+// nodes. The bound depends only on n and the entry count, which
+// MarshalJSON writes back unchanged for every graph these decoders
+// accept, so whatever decodes also decodes again after a round trip.
+func checkNodeCount(n, entries int) error {
+	if n < 0 {
+		return fmt.Errorf("graph: negative node count %d", n)
+	}
+	if n > freeNodes+2*entries {
+		return fmt.Errorf("graph: node count %d exceeds %d, the bound for %d entries", n, freeNodes+2*entries, entries)
+	}
 	return nil
 }
 

@@ -26,6 +26,38 @@ func NewLinkGraph(n int) *LinkGraph {
 	return &LinkGraph{out: make([][]Arc, n)}
 }
 
+// NewLinkGraphFromRows returns a directed graph of len(start)-1 nodes
+// in which node u's out-arcs are arcs[start[u]:start[u+1]], so every
+// row shares arcs as its backing array. Each row is capped at its own
+// end: a later AddArc, or a caller's append to a row, reallocates that
+// row alone. The rows are checked in O(len(arcs)): start must run from
+// 0 to len(arcs) without decreasing, and every row must have strictly
+// increasing heads in range, no self-arc and no weight that is
+// negative or NaN. It panics otherwise, as AddArc does.
+func NewLinkGraphFromRows(start []int, arcs []Arc) *LinkGraph {
+	n := checkRowStarts(start, len(arcs))
+	g := NewLinkGraph(n)
+	for u := range n {
+		row := arcs[start[u]:start[u+1]:start[u+1]]
+		for k, a := range row {
+			switch {
+			case a.To < 0 || a.To >= n:
+				panic(fmt.Sprintf("graph: arc %d->%d out of range", u, a.To))
+			case k > 0 && row[k-1].To >= a.To:
+				panic(fmt.Sprintf("graph: row %d is not strictly increasing at %d", u, a.To))
+			case a.To == u:
+				panic(fmt.Sprintf("graph: self-arc at %d", u))
+			case a.W < 0 || math.IsNaN(a.W):
+				panic(fmt.Sprintf("graph: invalid arc weight %v on %d->%d", a.W, u, a.To))
+			}
+		}
+		if len(row) > 0 {
+			g.out[u] = row
+		}
+	}
+	return g
+}
+
 // N reports the number of nodes.
 func (g *LinkGraph) N() int { return len(g.out) }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -168,10 +169,32 @@ func TestLinkGraphJSONRejectsBadInput(t *testing.T) {
 		"negative w":    `{"n":2,"arcs":[{"from":0,"to":1,"w":-2}]}`,
 		"duplicate arc": `{"n":2,"arcs":[{"from":0,"to":1,"w":1},{"from":0,"to":1,"w":2}]}`,
 		"negative n":    `{"n":-1,"arcs":[]}`,
+		// Unchecked, 2^62 rows overflow makeslice and panic before
+		// any memory is taken, so this claim never allocates.
+		"n past the bound": `{"n":4611686018427387904,"arcs":[]}`,
 	}
 	for name, in := range cases {
 		if _, err := ReadLinkGraph(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted %q", name, in)
+		}
+	}
+}
+
+// TestJSONNodeCountBound: a link or edge list may declare 2^16 nodes
+// plus two per entry, and no more.
+func TestJSONNodeCountBound(t *testing.T) {
+	for _, c := range []struct {
+		n  int
+		ok bool
+	}{{freeNodes + 2, true}, {freeNodes + 3, false}} {
+		link := fmt.Sprintf(`{"n":%d,"arcs":[{"from":0,"to":1,"w":1}]}`, c.n)
+		edge := fmt.Sprintf(`{"n":%d,"edges":[{"u":0,"v":1,"w":1}]}`, c.n)
+		lg, err := ReadLinkGraph(strings.NewReader(link))
+		if (err == nil) != c.ok || (c.ok && lg.N() != c.n) {
+			t.Errorf("link graph of %d nodes and 1 arc: err %v, want ok=%v", c.n, err, c.ok)
+		}
+		if _, err := ReadEdgeWeighted(strings.NewReader(edge)); (err == nil) != c.ok {
+			t.Errorf("edge graph of %d nodes and 1 edge: err %v, want ok=%v", c.n, err, c.ok)
 		}
 	}
 }
@@ -225,12 +248,13 @@ func TestEdgeWeightedJSONRoundTrip(t *testing.T) {
 
 func TestEdgeWeightedJSONRejectsBadInput(t *testing.T) {
 	cases := map[string]string{
-		"edge range": `{"n":2,"edges":[{"u":0,"v":9,"w":1}]}`,
-		"self loop":  `{"n":2,"edges":[{"u":1,"v":1,"w":1}]}`,
-		"negative w": `{"n":2,"edges":[{"u":0,"v":1,"w":-2}]}`,
-		"duplicate":  `{"n":2,"edges":[{"u":0,"v":1,"w":1},{"u":1,"v":0,"w":2}]}`,
-		"negative n": `{"n":-1,"edges":[]}`,
-		"not json":   `{"n":`,
+		"edge range":       `{"n":2,"edges":[{"u":0,"v":9,"w":1}]}`,
+		"self loop":        `{"n":2,"edges":[{"u":1,"v":1,"w":1}]}`,
+		"negative w":       `{"n":2,"edges":[{"u":0,"v":1,"w":-2}]}`,
+		"duplicate":        `{"n":2,"edges":[{"u":0,"v":1,"w":1},{"u":1,"v":0,"w":2}]}`,
+		"negative n":       `{"n":-1,"edges":[]}`,
+		"not json":         `{"n":`,
+		"n past the bound": `{"n":4611686018427387904,"edges":[]}`,
 	}
 	for name, in := range cases {
 		if _, err := ReadEdgeWeighted(strings.NewReader(in)); err == nil {

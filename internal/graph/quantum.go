@@ -54,8 +54,10 @@ type quantBox struct {
 }
 
 // invalidate drops the cached negotiation; called on cost mutation.
+// Like csrBox.invalidate it loads first, so setting every cost of a
+// new graph pays no atomic store per node.
 func (b *quantBox) invalidate() {
-	if b != nil {
+	if b != nil && b.p.Load() != nil {
 		b.p.Store(nil)
 	}
 }

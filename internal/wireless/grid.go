@@ -2,6 +2,7 @@ package wireless
 
 import (
 	"math"
+	"slices"
 )
 
 // grid buckets a deployment's nodes into square cells whose side is at
@@ -88,4 +89,52 @@ func newGrid(pos []Point, reach float64) *grid {
 func (g *grid) block(i int) []int32 {
 	c := g.cell[i]
 	return g.ids[g.start[c]:g.start[c+1]]
+}
+
+// above returns the nodes of i's block with ids above i, in increasing
+// order. Block membership is symmetric, so a walk over every i's
+// above meets each unordered candidate pair once, from its lower end.
+func (g *grid) above(i int) []int32 {
+	b := g.block(i)
+	k, _ := slices.BinarySearch(b, int32(i))
+	return b[k+1:]
+}
+
+// disk decides p.Dist(q) <= r bit for bit as that predicate does, but
+// from the squared distance s = dx² + dy² wherever s is clear of r² by
+// a relative margin of 2^-40, the grid's slack; only pairs inside that
+// band pay for Hypot. Both s and Hypot are within a few ulps of the
+// exact values, far inside the margin (DESIGN.md §16). A range outside
+// [2^-500, 2^500], NaN and ±Inf included, sends every pair to Hypot,
+// and so does a NaN s; an s that overflows lies beyond every such r.
+type disk struct {
+	r, lo, hi float64
+}
+
+func newDisk(r float64) disk {
+	c := disk{r: r, lo: math.Inf(-1), hi: math.Inf(1)}
+	if r >= 0x1p-500 && r <= 0x1p500 {
+		r2 := r * r
+		c.lo, c.hi = r2*(1-0x1p-40), r2*(1+0x1p-40)
+	}
+	return c
+}
+
+// within reports p.Dist(q) <= r.
+func (c disk) within(p, q Point) bool {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	switch s := dx*dx + dy*dy; {
+	case s < c.lo:
+		return true
+	case s > c.hi:
+		return false
+	}
+	return math.Hypot(dx, dy) <= c.r
+}
+
+// beyond reports whether the squared distance alone shows
+// p.Dist(q) > r. It is false in the band and on NaN.
+func (c disk) beyond(p, q Point) bool {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	return dx*dx+dy*dy > c.hi
 }

@@ -14,6 +14,12 @@ import (
 // reference the differential tests hold the grid builders to. refUDG
 // leaves out the common-range check; its callers guarantee it.
 
+// CanReach reports whether node i's transmitter covers node j, the
+// arc predicate of the all-pairs reference.
+func (d *Deployment) CanReach(i, j int) bool {
+	return i != j && d.Pos[i].Dist(d.Pos[j]) <= d.Range[i]
+}
+
 func refLinkGraph(d *Deployment, m CostModel) *graph.LinkGraph {
 	g := graph.NewLinkGraph(d.N())
 	for i := 0; i < d.N(); i++ {
@@ -233,6 +239,59 @@ func TestGridMatchesAllPairsBorders(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGridMatchesAllPairsNearRange: pairs whose length is R·(1 + k·2^-52)
+// for |k| ≤ 8, where rounding decides the predicate, and pairs at the
+// edges of the 2^-40 band the squared-distance prefilter hands to
+// Hypot, at coordinate magnitudes 0, −1e9 and 3.7e12 and at ranges
+// from tiny to huge, both sides of the prefilter's [2^-500, 2^500]
+// guard. Each pair sits 4R from the next, and random draws near R add
+// pairs that a prefilter without the band, a plain s ≤ R², decides
+// against Hypot; the test requires some.
+func TestGridMatchesAllPairsNearRange(t *testing.T) {
+	var scales []float64
+	for k := -8.0; k <= 8; k++ {
+		scales = append(scales, 1+k*0x1p-52)
+	}
+	for _, edge := range []float64{math.Sqrt(1 - 0x1p-40), math.Sqrt(1 + 0x1p-40)} {
+		for k := -3.0; k <= 3; k++ {
+			scales = append(scales, edge*(1+k*0x1p-52))
+		}
+	}
+	rng := rand.New(rand.NewPCG(52, 40))
+	plain := 0
+	for _, r := range []float64{300, 7, 0.1, 0x1p-500, 1e-160, 1e-200, 1e150, 0x1p500, 1e200} {
+		for _, base := range []float64{0, -1e9, 3.7e12} {
+			var pos []Point
+			pair := func(f, theta float64) (a, b Point) {
+				a = Point{base + 4*r*float64(len(pos)/2), base}
+				return a, Point{a.X + r*f*math.Cos(theta), a.Y + r*f*math.Sin(theta)}
+			}
+			for _, theta := range []float64{0, 0.3, 1, math.Pi / 2} {
+				for _, f := range scales {
+					a, b := pair(f, theta)
+					pos = append(pos, a, b)
+				}
+			}
+			for tries, found := 0, 0; tries < 2000 && found < 8; tries++ {
+				a, b := pair(1+float64(rng.IntN(17)-8)*0x1p-52, rng.Float64()*math.Pi/2)
+				dx, dy := a.X-b.X, a.Y-b.Y
+				if s, h := dx*dx+dy*dy, math.Hypot(dx, dy); (s < r*r && h > r) || (s > r*r && h <= r) {
+					pos = append(pos, a, b)
+					found++
+					plain++
+				}
+			}
+			if err := diffBuilders(common(pos, r)); err != nil {
+				t.Fatalf("range %v, base %v: %v", r, base, err)
+			}
+		}
+	}
+	if plain == 0 {
+		t.Fatal("no pair on which s ≤ R² and Hypot disagree: the cases cannot catch a prefilter without its band")
+	}
+	t.Logf("%d pairs decided differently by s ≤ R² and by Hypot", plain)
 }
 
 // coverErr checks the grid's covering property directly: every pair

@@ -118,8 +118,8 @@ func (d *Deployment) LinkSubgraph(topo *graph.NodeGraph, m CostModel) *graph.Lin
 	lg := graph.NewLinkGraph(d.N())
 	for u := 0; u < d.N(); u++ {
 		for _, v := range topo.Neighbors(u) {
-			if d.CanReach(u, v) {
-				lg.AddArc(u, v, m.LinkCost(u, d.Pos[u].Dist(d.Pos[v])))
+			if l := d.Pos[u].Dist(d.Pos[v]); u != v && l <= d.Range[u] {
+				lg.AddArc(u, v, m.LinkCost(u, l))
 			}
 		}
 	}

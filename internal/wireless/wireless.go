@@ -38,11 +38,6 @@ type Deployment struct {
 // N reports the number of deployed nodes.
 func (d *Deployment) N() int { return len(d.Pos) }
 
-// CanReach reports whether node i's transmitter covers node j.
-func (d *Deployment) CanReach(i, j int) bool {
-	return i != j && d.Pos[i].Dist(d.Pos[j]) <= d.Range[i]
-}
-
 // PlaceUniform scatters n nodes independently and uniformly in a
 // side×side square with a common transmission range, the paper's
 // first campaign (2000 m × 2000 m, range 300 m).
@@ -92,7 +87,23 @@ func (m PathLoss) LinkCost(_ int, length float64) float64 {
 	if u == 0 {
 		u = 1
 	}
-	return math.Pow(length/u, m.Kappa)
+	return pow(length/u, m.Kappa)
+}
+
+// pow returns math.Pow(x, kappa) bit for bit, and for κ = 2 takes x*x
+// whenever that is a normal number. math.Pow, generic Go code on every
+// platform but s390x, splits x into a mantissa x1 ∈ [0.5, 1) and an
+// exponent e and returns Ldexp(fl(x1²), 2e). Scaling by a power of two commutes with
+// rounding while the result stays normal, so that equals fl(x²). Zero,
+// subnormal, infinite and NaN squares take math.Pow.
+func pow(x, kappa float64) float64 {
+	//lint:allow floatcmp κ is a configured exponent matched verbatim, not an arithmetic result
+	if kappa == 2 {
+		if r := x * x; r >= 0x1p-1022 && r <= math.MaxFloat64 {
+			return r
+		}
+	}
+	return math.Pow(x, kappa)
 }
 
 func (m PathLoss) String() string { return fmt.Sprintf("pathloss(kappa=%g)", m.Kappa) }
@@ -127,7 +138,7 @@ func (m *AffinePower) LinkCost(i int, length float64) float64 {
 	if u == 0 {
 		u = 100
 	}
-	return m.C1[i] + m.C2[i]*math.Pow(length/u, m.Kappa)
+	return m.C1[i] + m.C2[i]*pow(length/u, m.Kappa)
 }
 
 func (m *AffinePower) String() string { return fmt.Sprintf("affine(kappa=%g)", m.Kappa) }
@@ -137,22 +148,58 @@ func (m *AffinePower) String() string { return fmt.Sprintf("affine(kappa=%g)", m
 // within i's transmission range, weighted by the model's cost for
 // node i on that link (§III.F: each node's type is its out-cost
 // vector). Candidates come from a grid of cells at least the largest
-// range wide (grid.go), in increasing head order.
+// range wide (grid.go). One pass meets each candidate pair once,
+// computes its length once for both arcs, and counts the rows; a
+// second pass fills exact-size rows from the last pair back, calling
+// LinkCost once per arc.
 func (d *Deployment) LinkGraph(m CostModel) *graph.LinkGraph {
 	reach := math.Inf(-1)
 	for _, r := range d.Range {
 		reach = max(reach, r)
 	}
-	cells := newGrid(d.Pos, reach)
-	g := graph.NewLinkGraph(d.N())
-	for i := 0; i < d.N(); i++ {
-		for _, j := range cells.block(i) {
-			if l := d.Pos[i].Dist(d.Pos[j]); int(j) != i && l <= d.Range[i] {
-				g.AddArc(i, int(j), m.LinkCost(i, l))
+	cells, far := newGrid(d.Pos, reach), newDisk(reach)
+	n := d.N()
+	type pair struct {
+		i, j int32
+		l    float64
+	}
+	var pairs []pair
+	row := make([]int, n+1)
+	for i := range n {
+		for _, j := range cells.above(i) {
+			p, q := d.Pos[i], d.Pos[j]
+			if far.beyond(p, q) {
+				continue
+			}
+			l := p.Dist(q)
+			out, in := l <= d.Range[i], l <= d.Range[j]
+			if out {
+				row[i]++
+			}
+			if in {
+				row[j]++
+			}
+			if out || in {
+				pairs = append(pairs, pair{int32(i), j, l})
 			}
 		}
 	}
-	return g
+	for v := 1; v <= n; v++ {
+		row[v] += row[v-1]
+	}
+	arcs := make([]graph.Arc, row[n])
+	for k := len(pairs) - 1; k >= 0; k-- {
+		i, j, l := int(pairs[k].i), int(pairs[k].j), pairs[k].l
+		if l <= d.Range[j] {
+			row[j]--
+			arcs[row[j]] = graph.Arc{To: i, W: m.LinkCost(j, l)}
+		}
+		if l <= d.Range[i] {
+			row[i]--
+			arcs[row[i]] = graph.Arc{To: j, W: m.LinkCost(i, l)}
+		}
+	}
+	return graph.NewLinkGraphFromRows(row, arcs)
 }
 
 // UDG builds the undirected unit-disk communication graph: {i,j} is
@@ -164,9 +211,9 @@ func (d *Deployment) UDG() *graph.NodeGraph {
 }
 
 // udg builds the UDG and returns it with the grid it searched, which
-// the proximity graphs reuse for their witness search. Blocks are in
-// increasing order and i runs upwards, so every row is appended in
-// increasing neighbour order.
+// the proximity graphs reuse for their witness search. The pair pass
+// is LinkGraph's with one range for both ends: it counts the rows, and
+// the fill from the last pair back leaves every row increasing.
 func (d *Deployment) udg() (*graph.NodeGraph, *grid) {
 	var reach float64
 	if d.N() > 0 {
@@ -178,16 +225,31 @@ func (d *Deployment) udg() (*graph.NodeGraph, *grid) {
 			panic("wireless: UDG requires a common transmission range")
 		}
 	}
-	cells := newGrid(d.Pos, reach)
-	g := graph.NewNodeGraph(d.N())
-	for i := 0; i < d.N(); i++ {
-		for _, j := range cells.block(i) {
-			if int(j) > i && d.Pos[i].Dist(d.Pos[j]) <= reach {
-				g.AddEdge(i, int(j))
+	cells, near := newGrid(d.Pos, reach), newDisk(reach)
+	n := d.N()
+	var pairs [][2]int32
+	row := make([]int, n+1)
+	for i := range n {
+		for _, j := range cells.above(i) {
+			if near.within(d.Pos[i], d.Pos[j]) {
+				pairs = append(pairs, [2]int32{int32(i), j})
+				row[i]++
+				row[j]++
 			}
 		}
 	}
-	return g, cells
+	for v := 1; v <= n; v++ {
+		row[v] += row[v-1]
+	}
+	nbr := make([]int, row[n])
+	for k := len(pairs) - 1; k >= 0; k-- {
+		i, j := int(pairs[k][0]), int(pairs[k][1])
+		row[i]--
+		nbr[row[i]] = j
+		row[j]--
+		nbr[row[j]] = i
+	}
+	return graph.NewNodeGraphFromRows(row, nbr), cells
 }
 
 // NodeCostUDG builds the undirected node-weighted model of §II.B on

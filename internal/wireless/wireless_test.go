@@ -79,6 +79,49 @@ func TestPathLossCost(t *testing.T) {
 	}
 }
 
+// TestPowKappaTwoMatchesMathPow holds the κ=2 fast path to math.Pow
+// bit for bit at every binary exponent, from the subnormals to the
+// overflow edge, on both signs, and around the square roots of the
+// smallest normal and of the largest finite value.
+func TestPowKappaTwoMatchesMathPow(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2, 2))
+	xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, math.Sqrt(math.MaxFloat64), 0x1p-511, 0x1p-537}
+	for _, edge := range []float64{0x1p-511, math.Sqrt(0x1p-1022), math.Sqrt(math.MaxFloat64), 0x1p512} {
+		x := edge
+		for k := 0; k < 64; k++ {
+			x = math.Nextafter(x, 0)
+		}
+		for k := 0; k < 128; k++ {
+			xs = append(xs, x)
+			x = math.Nextafter(x, math.Inf(1))
+		}
+	}
+	for e := -1074; e <= 1023; e++ {
+		for _, m := range []float64{1, 1.5, math.Nextafter(2, 0), 1 + rng.Float64(), 1 + rng.Float64()} {
+			xs = append(xs, math.Ldexp(m, e))
+		}
+	}
+	// Where x² is subnormal, math.Pow rounds twice (to 53 bits, then
+	// to the subnormal's precision) and x*x once; they differ on
+	// roughly one draw in a hundred, so the fast path must stay off.
+	for e := -538; e < -511; e++ {
+		for k := 0; k < 400; k++ {
+			xs = append(xs, math.Ldexp(1+rng.Float64(), e))
+		}
+	}
+	for _, x := range xs {
+		for _, v := range []float64{x, -x} {
+			if got, want := pow(v, 2), math.Pow(v, 2); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("pow(%v, 2) = %v (%#x), math.Pow %v (%#x)", v, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if got, want := pow(v, 2.5), math.Pow(v, 2.5); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("pow(%v, 2.5) = %v, math.Pow %v", v, got, want)
+			}
+		}
+	}
+}
+
 func TestAffinePowerCost(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 0))
 	m := NewAffinePower(5, 2, 300, 500, 10, 50, rng)

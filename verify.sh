@@ -132,7 +132,8 @@ stage_bench() (
     # within 15% of the committed BENCH_payments.json baseline,
     # which must come from the same host (the gate prints both host
     # stamps when they differ). -count=3 with
-    # benchreport's min-of-runs collapse absorbs scheduler noise; exit
+    # benchreport's min-of-runs collapse absorbs scheduler noise, and
+    # its go test -p 1 keeps package builds out of the timed runs; exit
     # code 3 means a real regression.
     # GATETIME trades gate fidelity for speed.
     set -x
